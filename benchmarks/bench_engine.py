@@ -173,7 +173,8 @@ def bench_analysis(rounds: int = 20) -> dict:
     entry_count = len(raw) // 12
 
     def run_streaming():
-        return stream_energy_map(iter_entries(raw), *args, **kwargs)
+        return stream_energy_map(iter_entries(raw), *args,
+                                 backend="streaming", **kwargs)
 
     def run_columnar():
         return columnar_energy_map(raw, *args, **kwargs)
@@ -240,7 +241,8 @@ def bench_windowed(rounds: int = 20) -> dict:
         accumulator.finish()
         return accumulator
 
-    reference = stream_energy_map(iter_entries(raw), *args, **kwargs)
+    reference = stream_energy_map(iter_entries(raw), *args,
+                                  backend="streaming", **kwargs)
     folded = fold_windows(list(run_windowed().windows))
     assert list(folded.energy_j) == list(reference.energy_j) \
         and folded.energy_j == reference.energy_j, \

@@ -2,8 +2,9 @@
 
 The same 48-second Blink log is priced twice with the same regression:
 
-* **batch** — decode the whole log into a list, materialize the
-  TimelineBuilder (entry list + per-device index), and build the map;
+* **batch** — decode the whole log into columns, materialize the
+  ColumnarTimeline (interval and segment arrays), and build the map
+  with the columnar engine (the offline node path);
 * **streaming** — a single pass: ``iter_entries`` feeding
   ``stream_energy_map``, nothing materialized but open spans.
 
@@ -22,8 +23,8 @@ import tracemalloc
 from pathlib import Path
 
 from repro.core.accounting import build_energy_map, stream_energy_map
-from repro.core.logger import ENTRY_SIZE, decode_log, iter_entries
-from repro.core.timeline import TimelineBuilder
+from repro.core.logger import ENTRY_SIZE, decode_columns, iter_entries
+from repro.core.timeline import ColumnarTimeline
 from repro.core.report import format_table
 from repro.experiments.common import run_blink
 from repro.tos.node import COMPONENT_NAMES, RES_TIMERB
@@ -55,9 +56,8 @@ def bench_streaming() -> str:
     regression = node.regression()  # shared input, outside both regions
 
     def batch():
-        entries = decode_log(raw)
-        timeline = TimelineBuilder(
-            entries, end_time_ns=end_time_ns,
+        timeline = ColumnarTimeline(
+            decode_columns(raw), end_time_ns=end_time_ns,
             single_res_ids=single_ids, multi_res_ids=[RES_TIMERB])
         return build_energy_map(
             timeline, regression, node.registry, COMPONENT_NAMES,
@@ -68,7 +68,8 @@ def bench_streaming() -> str:
             iter_entries(raw), regression, node.registry, COMPONENT_NAMES,
             energy_per_pulse, idle_name=idle_name,
             end_time_ns=end_time_ns,
-            single_res_ids=single_ids, multi_res_ids=[RES_TIMERB])
+            single_res_ids=single_ids, multi_res_ids=[RES_TIMERB],
+            backend="streaming")
 
     batch_map, batch_wall, batch_peak = _measure(batch)
     stream_map, stream_wall, stream_peak = _measure(streaming)

@@ -47,15 +47,6 @@ from repro.errors import ExperimentParameterError, ServeError, SweepError
 from repro.experiments import EXPERIMENT_IDS, load_experiment, run_experiment
 
 
-def _apply_backend(backend):
-    """Export the selected analysis backend for everything the command
-    runs (experiments resolve ``$REPRO_ANALYSIS_BACKEND`` internally)."""
-    if backend is not None:
-        import os
-
-        os.environ["REPRO_ANALYSIS_BACKEND"] = backend
-
-
 def _parse_set_args(pairs, multi_valued: bool):
     """Turn repeated ``--set key=value[,value...]`` flags into a dict."""
     overrides = {}
@@ -88,7 +79,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     overrides = _parse_set_args(args.set, multi_valued=False)
-    _apply_backend(args.backend)
     result = run_experiment(args.id, seed=args.seed, overrides=overrides)
     print(result.render())
     return 0
@@ -121,8 +111,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.no_cache:
         cache_dir = None
     result = run_sweep(args.id, seeds, overrides, jobs=args.jobs,
-                       cache_dir=cache_dir, backend=args.backend,
-                       shard=shard, batch=args.batch)
+                       cache_dir=cache_dir, shard=shard, batch=args.batch)
     print(result.render())
     return 0
 
@@ -135,7 +124,7 @@ def _cmd_merge_sweeps(args: argparse.Namespace) -> int:
 
         result = merge_campaign(
             args.manifest, extra_cache_dirs=args.cache_dir or (),
-            jobs=args.jobs, strict=args.strict, backend=args.backend)
+            jobs=args.jobs, strict=args.strict)
         print(result.render())
         return 0
     if args.id is None or not args.cache_dir:
@@ -153,7 +142,7 @@ def _cmd_merge_sweeps(args: argparse.Namespace) -> int:
     seeds = range(args.seed_base, args.seed_base + args.seeds)
     result = merge_sweeps(args.id, seeds, overrides,
                           cache_dirs=args.cache_dir, jobs=args.jobs,
-                          strict=args.strict, backend=args.backend)
+                          strict=args.strict)
     print(result.render())
     return 0
 
@@ -174,7 +163,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         manifest = campaign.plan_campaign(
             args.id, seeds, overrides, out_path=args.manifest,
             shards=args.shards, workers=args.jobs, batch=args.batch,
-            backend=args.backend, deadline_s=args.deadline,
+            deadline_s=args.deadline,
             max_retries=args.max_retries, cache_dir=args.cache_dir)
         print(f"wrote manifest {manifest.path}: "
               f"{len(manifest.grid())} grid points, "
@@ -207,7 +196,6 @@ def _cmd_blink(args: argparse.Namespace) -> int:
     from repro.tos.node import COMPONENT_NAMES, NodeConfig, QuantoNode
     from repro.units import seconds, to_mj
 
-    _apply_backend(args.backend)
     sim = Simulator()
     node = QuantoNode(sim, NodeConfig(node_id=1),
                       rng_factory=RngFactory(args.seed))
@@ -329,18 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available experiments")
 
-    backend_kwargs = dict(
-        choices=("streaming", "columnar"), default=None,
-        help="analysis backend for the log->energy reconstruction "
-             "(default: $REPRO_ANALYSIS_BACKEND if set, else streaming; "
-             "backends are bit-identical, columnar is faster)")
-
     p_exp = sub.add_parser("experiment", help="run one experiment")
     p_exp.add_argument("id")
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a sweepable parameter (repeatable)")
-    p_exp.add_argument("--backend", **backend_kwargs)
 
     p_sweep = sub.add_parser(
         "sweep", help="run an experiment over many seeds on a worker pool")
@@ -374,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "grid partition (0-based; machine i of an "
                               "N-machine campaign — merge the cache dirs "
                               "afterwards with merge-sweeps)")
-    p_sweep.add_argument("--backend", **backend_kwargs)
 
     p_merge = sub.add_parser(
         "merge-sweeps",
@@ -403,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("--strict", action="store_true",
                          help="fail if any grid point is missing from the "
                               "shard stores instead of simulating it")
-    p_merge.add_argument("--backend", **backend_kwargs)
 
     p_campaign = sub.add_parser(
         "campaign",
@@ -440,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cplan.add_argument("--cache-dir", metavar="DIR", default="cache",
                          help="shard store directory, relative to the "
                               "manifest's directory (default 'cache')")
-    p_cplan.add_argument("--backend", **backend_kwargs)
 
     for name, help_text in (
         ("run", "run a campaign manifest to completion"),
@@ -465,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_blink.add_argument("--dump", action="store_true",
                          help="print the raw log instead of the map")
     p_blink.add_argument("--dump-limit", type=int, default=60)
-    p_blink.add_argument("--backend", **backend_kwargs)
 
     p_val = sub.add_parser("validate", help="lint a Blink run's log")
     p_val.add_argument("--seed", type=int, default=0)

@@ -29,9 +29,9 @@ from repro.core.logger import LogEntry, QuantoLogger, decode_log, iter_entries
 from repro.core.regression import RegressionResult, SinkColumn, solve_breakdown
 from repro.core.timeline import (
     ActivitySegment,
+    ColumnarTimeline,
     MultiActivitySegment,
     PowerInterval,
-    TimelineBuilder,
     TimelineStream,
 )
 from repro.core.accounting import (
@@ -57,7 +57,7 @@ __all__ = [
     "SinkColumn",
     "RegressionResult",
     "solve_breakdown",
-    "TimelineBuilder",
+    "ColumnarTimeline",
     "TimelineStream",
     "PowerInterval",
     "ActivitySegment",

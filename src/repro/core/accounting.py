@@ -31,9 +31,10 @@ at :meth:`EnergyAccumulator.finish` — replayed in interval order, which
 keeps the result byte-identical to the batch computation.  The
 ``fold_proxies=False`` path needs no deferral and runs fully bounded.
 
-:func:`build_energy_map` is the batch wrapper: it re-feeds a
-:class:`~repro.core.timeline.TimelineBuilder`'s entries through an
-accumulator, so both paths share one accounting implementation.
+:func:`columnar_energy_map` is the offline engine: the same accounting
+on the column arrays of a :class:`~repro.core.timeline.ColumnarTimeline`,
+bit-identical to the accumulator by contract.  :func:`build_energy_map`
+prices a whole timeline on either engine.
 
 The map also carries the metered total so callers can verify that the
 reconstruction matches the measurement (the paper reports 0.004 % for
@@ -42,7 +43,6 @@ Blink).
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
@@ -57,7 +57,6 @@ from repro.core.timeline import (
     ColumnarTimeline,
     MultiActivitySegment,
     PowerInterval,
-    TimelineBuilder,
     TimelineStream,
 )
 from repro.errors import AnalysisBackendError, RegressionError, WindowingError
@@ -70,30 +69,28 @@ UNTRACKED_KEY = "(untracked)"
 #: The (component, activity) pair the constant draw is charged to.
 _CONST_PAIR = (CONST_KEY, CONST_KEY)
 
-#: The selectable log→energy analysis implementations.  Both produce
-#: bit-identical :class:`EnergyMap`s (float bits and dict order) on any
-#: log — the backend-parametrized golden-digest suite enforces it.
+#: The log→energy analysis implementations.  Both produce bit-identical
+#: :class:`EnergyMap`s (float bits and dict order) on any log — the
+#: golden-digest suite cross-checks them on every experiment.
 ANALYSIS_BACKENDS = ("streaming", "columnar")
 
-#: Environment variable consulted when no explicit backend is passed.
-BACKEND_ENV_VAR = "REPRO_ANALYSIS_BACKEND"
-
-#: The default when neither an argument nor the environment selects one.
-#: Columnar: ~1.5x the reconstruction throughput of the streaming
-#: reference on the 554-entry benchmark log (growing with log size as
-#: the vectorized decode/cover amortizes) at bit-identical output (the
-#: contract above) — real money at sweep scale, where every grid point
-#: pays one full reconstruction.  The streaming implementation remains
-#: the reference; select it with ``REPRO_ANALYSIS_BACKEND=streaming``
-#: (CI runs the whole tier-1 suite on both).
+#: The engine used when a caller does not name one.  Columnar: ~3x the
+#: reconstruction throughput of the streaming reference on the
+#: 554-entry benchmark log (``benchmarks/bench_engine.py``, 2-vCPU KVM
+#: host; the gap grows with log size as the vectorized decode/cover
+#: amortizes) at bit-identical output — real money at sweep scale, where
+#: every grid point pays one full reconstruction.  The streaming
+#: implementation remains the reference and the live (``repro serve``)
+#: engine.
 DEFAULT_ANALYSIS_BACKEND = "columnar"
 
 
 def resolve_analysis_backend(backend: Optional[str] = None) -> str:
-    """Pick the analysis backend: explicit argument, else
-    ``$REPRO_ANALYSIS_BACKEND``, else the columnar default."""
+    """Validate an explicit ``backend=`` argument of
+    :func:`build_energy_map` / :func:`stream_energy_map`; ``None``
+    means the columnar default."""
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_ANALYSIS_BACKEND
+        backend = DEFAULT_ANALYSIS_BACKEND
     if backend not in ANALYSIS_BACKENDS:
         known = ", ".join(ANALYSIS_BACKENDS)
         raise AnalysisBackendError(
@@ -1045,32 +1042,6 @@ class WindowedAccumulator(EnergyAccumulator):
 # -- columnar backend -------------------------------------------------------
 
 
-class _ColumnarCharge:
-    """One charged device's precomputed per-interval columns: for every
-    interval whose state vector gives this device a power column (in
-    interval order), the component name, the joules (vectorized
-    draw × duration products), and — for tracked devices — the ragged
-    cover rows produced by :func:`_ragged_cover`.  ``cursor`` walks the
-    columns as the ordered fold sweeps the intervals."""
-
-    __slots__ = ("kind", "components", "joules", "offsets",
-                 "pair_names", "pair_sets", "pair_overlap", "cursor")
-
-    KIND_SINGLE = 0
-    KIND_MULTI = 1
-    KIND_UNTRACKED = 2
-
-    def __init__(self, kind: int) -> None:
-        self.kind = kind
-        self.components: list[str] = []
-        self.joules: list[float] = []
-        self.offsets: list[int] = [0]
-        self.pair_names: list[str] = []
-        self.pair_sets: list[frozenset] = []
-        self.pair_overlap: list[int] = []
-        self.cursor = 0
-
-
 def _ragged_cover(window_t0, window_t1, seg_t0, seg_t1):
     """``searchsorted``-based interval cover: how a batch of windows
     divides among one device's sorted, non-overlapping segments.
@@ -1108,9 +1079,9 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
     ``(interval, plan-position, within-charge-rank)``-keyed contribution
     stream whose final scalar adds are replayed in reference order.
 
-    Bit-identity with :func:`_fold_reference` (and hence the streaming
-    accumulator) rests on these facts, each pinned by the
-    backend-equivalence fuzz tests:
+    Bit-identity with the streaming accumulator's per-interval charges
+    (:func:`_charge_named`, :func:`_multi_shares`) rests on these facts,
+    each pinned by the backend-equivalence fuzz tests:
 
     * with every interval strictly positive (the guard the caller
       enforces), a single-device cover's share denominator is always
@@ -1419,144 +1390,6 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
         minlength=1)[0])
 
 
-def _fold_reference(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
-                    label_name, name_of_value, fold_proxies, idle_name,
-                    name_of):
-    """The scalar ordered fold — the executable spec for
-    :func:`_fold_stream` and the path for degenerate inputs
-    (zero-length intervals, where the share denominator diverges from
-    the interval duration)."""
-    vectors = timeline.vectors
-    interval_vec = timeline.interval_vec
-    n_intervals = len(dt_ns)
-    const_list = const_arr.tolist()
-    _name_of_value = name_of_value
-    charged: dict[int, _ColumnarCharge] = {}
-    for res_id in sorted({r for plan in plan_raw for r, _, _ in plan}):
-        single = timeline.single_columns(res_id)
-        multi = timeline.multi_columns(res_id) if single is None else None
-        if single is not None:
-            charge = _ColumnarCharge(_ColumnarCharge.KIND_SINGLE)
-        elif multi is not None:
-            charge = _ColumnarCharge(_ColumnarCharge.KIND_MULTI)
-        else:
-            charge = _ColumnarCharge(_ColumnarCharge.KIND_UNTRACKED)
-        has_power = np.zeros(len(vectors), dtype=bool)
-        power_by_vec = np.zeros(len(vectors), dtype=np.float64)
-        comp_by_vec: list[Optional[str]] = [None] * len(vectors)
-        for vec_id, plan in enumerate(plan_raw):
-            for rid, component, power_w in plan:
-                if rid == res_id:
-                    has_power[vec_id] = True
-                    power_by_vec[vec_id] = power_w
-                    comp_by_vec[vec_id] = component
-        rows = np.nonzero(has_power[interval_vec])[0]
-        row_vecs = interval_vec[rows]
-        charge.components = [comp_by_vec[v] for v in row_vecs.tolist()]
-        charge.joules = (power_by_vec[row_vecs] * dt_s[rows]).tolist()
-        if charge.kind == _ColumnarCharge.KIND_SINGLE:
-            offsets, seg_rows, overlaps = _ragged_cover(
-                timeline.interval_t0[rows], timeline.interval_t1[rows],
-                single.t0, single.t1)
-            # A handful of distinct labels name hundreds of segments:
-            # resolve each once, then translate by dict hit (no per-item
-            # function call).
-            if fold_proxies:
-                seg_names = []
-                append_name = seg_names.append
-                for label, b in zip(single.labels, single.bound):
-                    value = b if b is not None else label
-                    name = label_name.get(value)
-                    append_name(name if name is not None
-                                else _name_of_value(value))
-            else:
-                seg_names = []
-                append_name = seg_names.append
-                for value in single.labels:
-                    name = label_name.get(value)
-                    append_name(name if name is not None
-                                else _name_of_value(value))
-            charge.offsets = offsets.tolist()
-            charge.pair_names = [seg_names[j] for j in seg_rows.tolist()]
-            charge.pair_overlap = overlaps.tolist()
-        elif charge.kind == _ColumnarCharge.KIND_MULTI:
-            offsets, seg_rows, overlaps = _ragged_cover(
-                timeline.interval_t0[rows], timeline.interval_t1[rows],
-                multi.t0, multi.t1)
-            sets = timeline.label_sets
-            seg_sets = [sets[s] for s in multi.set_ids]
-            charge.offsets = offsets.tolist()
-            charge.pair_sets = [seg_sets[j] for j in seg_rows.tolist()]
-            charge.pair_overlap = overlaps.tolist()
-        charged[res_id] = charge
-    plans: list[list[_ColumnarCharge]] = [
-        [charged[rid] for rid, _, _ in plan] for plan in plan_raw
-    ]
-    # The ordered fold: the one remaining per-interval loop, walking
-    # precomputed columns — no trackers, no deques, no span objects.
-    # The single-device charge (the hot kind) is _charge_named inlined,
-    # with the reconstructed-total accumulator held in a local: the
-    # adds happen to the same running value in the same order, so the
-    # bits match the streaming accumulator exactly (the helper remains
-    # the streaming path's implementation and this loop's spec; the
-    # shared golden digests pin the two against each other).
-    energy_j = emap.energy_j
-    energy_get = energy_j.get
-    dt_ns_list = dt_ns.tolist()
-    vec_list = interval_vec.tolist()
-    recon = emap.reconstructed_energy_j
-    for i in range(n_intervals):
-        const_j = const_list[i]
-        energy_j[_CONST_PAIR] = energy_get(_CONST_PAIR, 0.0) + const_j
-        recon += const_j
-        for charge in plans[vec_list[i]]:
-            cursor = charge.cursor
-            charge.cursor = cursor + 1
-            joules = charge.joules[cursor]
-            component = charge.components[cursor]
-            kind = charge.kind
-            if kind == _ColumnarCharge.KIND_SINGLE:
-                start = charge.offsets[cursor]
-                stop = charge.offsets[cursor + 1]
-                named: dict[str, int] = {}
-                covered = 0
-                pair_names = charge.pair_names
-                pair_overlap = charge.pair_overlap
-                for k in range(start, stop):
-                    name = pair_names[k]
-                    overlap = pair_overlap[k]
-                    named[name] = named.get(name, 0) + overlap
-                    covered += overlap
-                idle_ns = dt_ns_list[i] - covered
-                if idle_ns > 0:
-                    named[idle_name] = named.get(idle_name, 0) + idle_ns
-                    covered += idle_ns
-                if not covered:
-                    covered = 1
-                for activity, share_ns in named.items():
-                    key = (component, activity)
-                    joule_share = joules * (share_ns / covered)
-                    energy_j[key] = energy_get(key, 0.0) + joule_share
-                    recon += joule_share
-            elif kind == _ColumnarCharge.KIND_MULTI:
-                start = charge.offsets[cursor]
-                stop = charge.offsets[cursor + 1]
-                shares = _multi_shares(
-                    zip(charge.pair_sets[start:stop],
-                        charge.pair_overlap[start:stop]),
-                    dt_ns_list[i], idle_name, name_of)
-                for activity, fraction in shares.items():
-                    key = (component, activity)
-                    joule_share = joules * fraction
-                    energy_j[key] = energy_get(key, 0.0) + joule_share
-                    recon += joule_share
-            else:
-                key = (component, UNTRACKED_KEY)
-                energy_j[key] = energy_get(key, 0.0) + joules
-                recon += joules
-    emap.reconstructed_energy_j = recon
-
-
 ColumnarSource = Union[bytes, bytearray, memoryview, LogColumns,
                        ColumnarTimeline, Iterable]
 
@@ -1592,7 +1425,8 @@ def columnar_energy_map(
     activity-name first-occurrence order.  Same operations on the same
     operands in the same order ⇒ the map is bit-identical to the
     streaming backend's (float bits *and* dict insertion order) — the
-    contract the backend-parametrized golden tests enforce.
+    contract the golden tests cross-check on every experiment.  Entries
+    out of log order raise :class:`~repro.errors.RegressionError`.
     """
     if isinstance(source, ColumnarTimeline):
         timeline = source
@@ -1654,13 +1488,15 @@ def columnar_energy_map(
         return name
 
     name_of = registry.name_of
-    # The fold itself: vectorized when every interval is strictly
-    # positive (always, on simulator logs — boundaries only emit at
-    # strictly increasing times), scalar reference otherwise (the
-    # degenerate share denominators the stream form cannot express).
-    fold = _fold_stream if bool((dt_ns > 0).all()) else _fold_reference
-    fold(emap, timeline, plan_raw, dt_ns, dt_s, const_arr, label_name,
-         _name_of_value, fold_proxies, idle_name, name_of)
+    # Boundaries only emit at strictly increasing times, so on entries
+    # in log order every interval is strictly positive — the guarantee
+    # the fold's share arithmetic rests on.
+    if bool((np.diff(timeline.columns.time_ns) < 0).any()):
+        raise RegressionError(
+            "log entries are not in log order: time runs backwards")
+    _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
+                 label_name, _name_of_value, fold_proxies, idle_name,
+                 name_of)
     # Time breakdown (Table 3a), in the accumulator's finish order:
     # sorted devices, then per-name totals in first-closed order — the
     # same per-device name→ns accumulation the streaming trackers keep,
@@ -1755,8 +1591,8 @@ def stream_energy_map(
     iterable, e.g. :func:`repro.core.logger.iter_entries`) straight into
     an :class:`EnergyAccumulator` and return the finished map.
 
-    ``backend`` (or ``$REPRO_ANALYSIS_BACKEND``) selects the analysis
-    implementation; ``"columnar"`` routes the same inputs through
+    ``backend`` selects the analysis implementation (default:
+    columnar); ``"columnar"`` routes the same inputs through
     :func:`columnar_energy_map`, bit-identical by contract.
     """
     if resolve_analysis_backend(backend) == "columnar":
@@ -1777,7 +1613,7 @@ def stream_energy_map(
 
 
 def build_energy_map(
-    timeline: TimelineBuilder,
+    timeline: ColumnarTimeline,
     regression: RegressionResult,
     registry: ActivityRegistry,
     component_names: dict[int, str],
@@ -1786,18 +1622,23 @@ def build_energy_map(
     idle_name: str = "Idle",
     backend: Optional[str] = None,
 ) -> EnergyMap:
-    """Merge power intervals, regression, and activity segments — the
-    batch wrapper: re-feeds the builder's (already sorted) entries
-    through the selected backend with the builder's fully-inferred
-    device sets, so batch and stream (and columnar) are one
-    implementation.
+    """Merge power intervals, regression, and activity segments for a
+    whole reconstructed timeline, on the selected engine (default:
+    columnar).  The streaming engine re-feeds the timeline's entries
+    with its device sets, so both engines price exactly the same log.
 
     ``component_names`` maps res_id to the display name of each device.
     Devices present in the power layout but absent from the activity log
     are charged to ``(untracked)``.
     """
+    if resolve_analysis_backend(backend) == "columnar":
+        return columnar_energy_map(
+            timeline, regression, registry, component_names,
+            energy_per_pulse_j,
+            fold_proxies=fold_proxies, idle_name=idle_name,
+        )
     return stream_energy_map(
-        timeline.entries,
+        timeline.entries(),
         regression,
         registry,
         component_names,
@@ -1807,5 +1648,5 @@ def build_energy_map(
         end_time_ns=timeline.end_time_ns,
         single_res_ids=timeline.single_device_ids(),
         multi_res_ids=timeline.multi_device_ids(),
-        backend=backend,
+        backend="streaming",
     )

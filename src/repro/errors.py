@@ -47,8 +47,8 @@ class NetworkError(ReproError):
 
 
 class AnalysisBackendError(ReproError):
-    """Raised when an unknown analysis backend is requested (via the
-    ``backend=`` argument, ``--backend``, or ``REPRO_ANALYSIS_BACKEND``)."""
+    """Raised when the ``backend=`` argument of ``build_energy_map`` or
+    ``stream_energy_map`` names an unknown analysis engine."""
 
 
 class ExperimentParameterError(ReproError):

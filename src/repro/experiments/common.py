@@ -12,6 +12,7 @@ str, or bool default is automatically a sweepable parameter.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import importlib
 import inspect
 import os
@@ -291,8 +292,11 @@ def warm_start_enabled() -> bool:
 
 
 def clear_warm_worlds() -> None:
-    """Drop every cached world (tests use this to force cold paths)."""
+    """Drop every cached world (tests use this to force cold paths) and
+    release its memory now: a world is a web of reference cycles (node
+    and callbacks), which only a full collection frees."""
     _BLINK_WORLDS.clear()
+    gc.collect()
 
 
 def _blink_world_key(node_id: int, node_kwargs: dict) -> Optional[tuple]:
@@ -369,10 +373,12 @@ def blink_batch_plan(seeds: Iterable[int]):
 
 
 def clear_batch_worlds() -> None:
-    """Drop pooled batch results and cached batch worlds (tests)."""
+    """Drop pooled batch results and cached batch worlds (tests), and
+    collect them now, like :func:`clear_warm_worlds`."""
     _BATCH_POOL.clear()
     _BATCH_WORLDS_BY_KEY.clear()
     _BATCH_DONE.clear()
+    gc.collect()
 
 
 def _run_blink_batch(

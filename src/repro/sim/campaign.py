@@ -113,7 +113,6 @@ class CampaignManifest:
     shards: int = 1
     workers: int = 0  # 0 = auto: min(shards, detected CPUs)
     batch: Optional[int] = None
-    backend: Optional[str] = None
     deadline_s: Optional[float] = None  # straggler threshold per shard
     max_retries: int = 3  # re-dispatches per shard beyond the first
     backoff_s: float = 0.25
@@ -136,7 +135,6 @@ class CampaignManifest:
             "shards": self.shards,
             "workers": self.workers,
             "batch": self.batch,
-            "backend": self.backend,
             "deadline_s": self.deadline_s,
             "max_retries": self.max_retries,
             "backoff_s": self.backoff_s,
@@ -187,6 +185,8 @@ class CampaignManifest:
             raise CampaignError(
                 f"manifest {path}: schema {schema} is newer than this "
                 f"repro understands ({MANIFEST_SCHEMA})")
+        # Keys no longer written (e.g. an old manifest's "backend") are
+        # ignored: only the fields below are read.
         manifest = cls(
             experiment=_field(raw, path, "experiment", str),
             seeds=[int(s) for s in _field(raw, path, "seeds", list)],
@@ -198,7 +198,6 @@ class CampaignManifest:
             workers=int(raw.get("workers", 0)),
             batch=(None if raw.get("batch") is None
                    else int(raw["batch"])),
-            backend=raw.get("backend"),
             deadline_s=(None if raw.get("deadline_s") is None
                         else float(raw["deadline_s"])),
             max_retries=int(raw.get("max_retries", 3)),
@@ -269,7 +268,6 @@ def plan_campaign(
     shards: int = 1,
     workers: int = 0,
     batch: Optional[int] = None,
-    backend: Optional[str] = None,
     deadline_s: Optional[float] = None,
     max_retries: int = 3,
     backoff_s: float = 0.25,
@@ -286,7 +284,6 @@ def plan_campaign(
         shards=shards,
         workers=workers,
         batch=batch,
-        backend=backend,
         deadline_s=deadline_s,
         max_retries=max_retries,
         backoff_s=backoff_s,
@@ -865,7 +862,6 @@ def merge_campaign(
     extra_cache_dirs: Sequence[Union[str, Path]] = (),
     jobs: int = 1,
     strict: bool = False,
-    backend: Optional[str] = None,
 ) -> SweepResult:
     """:func:`repro.sim.sweep.merge_sweeps` driven by a manifest.
 
@@ -884,7 +880,6 @@ def merge_campaign(
     result = merge_sweeps(
         manifest.experiment, manifest.seeds, manifest.overrides,
         cache_dirs=dirs, jobs=jobs, strict=strict,
-        backend=backend if backend is not None else manifest.backend,
     )
     if strict and manifest.expected:
         cache = SweepCache(dirs[0])

@@ -68,7 +68,6 @@ from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import traceback
 
-from repro.core.accounting import BACKEND_ENV_VAR, resolve_analysis_backend
 from repro.core.report import format_table
 from repro.errors import SweepError
 from repro.experiments.common import (
@@ -265,7 +264,6 @@ class SweepResult:
     comparisons: list[ComparisonStats] = field(default_factory=list)
     cache_dir: Optional[str] = None
     cache_hits: int = 0
-    backend: Optional[str] = None  # analysis backend, when explicitly set
     shard: Optional[tuple[int, int]] = None  # (index, count) when sharded
     grid_points: Optional[int] = None  # full grid size (for shard headers)
     batch: int = 1  # worlds per in-process batch (1 = unbatched)
@@ -312,8 +310,6 @@ class SweepResult:
             header.append(
                 f"-- shard: {index}/{count} "
                 f"({len(self.points)} of {total} grid points)")
-        if self.backend is not None:
-            header.append(f"-- analysis backend: {self.backend}")
         if self.cache_dir is not None:
             header.append(
                 f"-- cache: {self.cache_hits} reused, "
@@ -965,7 +961,6 @@ def run_sweep(
     jobs: int = 1,
     start_method: Optional[str] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    backend: Optional[str] = None,
     shard: Optional[tuple[int, int]] = None,
     batch: Optional[int] = None,
 ) -> SweepResult:
@@ -987,34 +982,14 @@ def run_sweep(
     building block: give every machine the same spec plus its own shard
     index and cache dir, then fold the stores with :func:`merge_sweeps`.
 
-    ``backend`` selects the analysis backend for every point: it is
-    exported as ``$REPRO_ANALYSIS_BACKEND`` for the duration of the
-    campaign (child processes inherit the parent environment under
-    every start method) and restored afterwards.  The channel is
-    process-global, so concurrent sweeps with *different* explicit
-    backends from threads of one process are unsupported — though by
-    the bit-identity contract their results could not differ anyway.
-    Per-point digests — and therefore cache keys — do not depend on the
-    backend; a cached sweep folds the same bytes whichever backend
-    produced them.
+    ``batch`` is the number of same-config worlds simulated per process
+    on one shared event queue (see :func:`resolve_batch`; 1 disables
+    batching — results are bit-identical either way).
     """
-    if backend is not None:
-        backend = resolve_analysis_backend(backend)
-        previous_env = os.environ.get(BACKEND_ENV_VAR)
-        os.environ[BACKEND_ENV_VAR] = backend
-    try:
-        result = _run_sweep_inner(
-            exp_id, seeds, overrides, jobs=jobs,
-            start_method=start_method, cache_dir=cache_dir, shard=shard,
-        )
-    finally:
-        if backend is not None:
-            if previous_env is None:
-                del os.environ[BACKEND_ENV_VAR]
-            else:
-                os.environ[BACKEND_ENV_VAR] = previous_env
-    result.backend = backend
-    return result
+    return _run_sweep_inner(
+        exp_id, seeds, overrides, jobs=jobs, start_method=start_method,
+        cache_dir=cache_dir, shard=shard, batch=batch,
+    )
 
 
 def detect_jobs() -> int:
@@ -1149,7 +1124,6 @@ def merge_sweeps(
     cache_dirs: Sequence[Union[str, Path]] = (),
     jobs: int = 1,
     strict: bool = False,
-    backend: Optional[str] = None,
 ) -> SweepResult:
     """Fold N shard runs' stores into the unsharded campaign result.
 
@@ -1182,23 +1156,9 @@ def merge_sweeps(
                 f"missing from the shard stores: {shown}{more}"
             )
     label = " + ".join(str(directory) for directory in cache_dirs)
-    if backend is not None:
-        backend = resolve_analysis_backend(backend)
-        previous_env = os.environ.get(BACKEND_ENV_VAR)
-        os.environ[BACKEND_ENV_VAR] = backend
-    try:
-        result = _run_sweep_inner(
-            exp_id, seeds, overrides, jobs=jobs, cache_dir=label,
-            cache=union,
-        )
-    finally:
-        if backend is not None:
-            if previous_env is None:
-                del os.environ[BACKEND_ENV_VAR]
-            else:
-                os.environ[BACKEND_ENV_VAR] = previous_env
-    result.backend = backend
-    return result
+    return _run_sweep_inner(
+        exp_id, seeds, overrides, jobs=jobs, cache_dir=label, cache=union,
+    )
 
 
 # -- aggregation ----------------------------------------------------------

@@ -33,12 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.core.accounting import (
-    EnergyMap,
-    build_energy_map,
-    columnar_energy_map,
-    resolve_analysis_backend,
-)
+from repro.core.accounting import EnergyMap, columnar_energy_map
 from repro.core.activity import (
     MultiActivityDevice,
     ProxyActivitySet,
@@ -57,10 +52,9 @@ from repro.core.powerstate import PowerStateTracker
 from repro.core.regression import (
     RegressionResult,
     layout_from_tracker,
-    solve_breakdown,
     solve_grouped,
 )
-from repro.core.timeline import ColumnarTimeline, TimelineBuilder
+from repro.core.timeline import ColumnarTimeline
 from repro.hw.platform import HydrowatchPlatform, PlatformConfig
 from repro.net.channel import RadioChannel
 from repro.sim.engine import Simulator
@@ -396,30 +390,10 @@ class QuantoNode:
         self.sim.run(until=self.sim.now + _ms(1))
 
     def timeline(self, end_time_ns: Optional[int] = None,
-                 finalize: bool = True) -> TimelineBuilder:
-        if finalize and self._booted:
-            self.mark_log_end()
-        return TimelineBuilder(
-            self.entries(),
-            end_time_ns=end_time_ns if end_time_ns is not None else self.sim.now,
-            single_res_ids=[d.res_id for d in self._single_devices()],
-            multi_res_ids=[RES_TIMERB],
-        )
-
-    @staticmethod
-    def _columnar_from_builder(timeline: TimelineBuilder) -> ColumnarTimeline:
-        """Columnar view of an explicitly captured batch timeline: built
-        from the builder's own entry list (not the live log), so a
-        timeline captured before the log grew analyzes exactly what the
-        streaming path would analyze for the same call."""
-        from repro.core.logger import LogColumns
-
-        return ColumnarTimeline(
-            LogColumns.from_entries(timeline.entries),
-            end_time_ns=timeline.end_time_ns,
-            single_res_ids=timeline.single_device_ids(),
-            multi_res_ids=timeline.multi_device_ids(),
-        )
+                 finalize: bool = True) -> ColumnarTimeline:
+        """This node's reconstructed timeline: the memoized
+        :meth:`columnar_timeline`."""
+        return self.columnar_timeline(end_time_ns, finalize)
 
     def columnar_timeline(
         self, end_time_ns: Optional[int] = None,
@@ -451,36 +425,21 @@ class QuantoNode:
 
     def regression(
         self,
-        timeline: Optional[TimelineBuilder] = None,
+        timeline: Optional[ColumnarTimeline] = None,
         weighting: str = "sqrt_et",
         strict: bool = False,
-        backend: Optional[str] = None,
     ) -> RegressionResult:
-        """Run the Section 2.5 breakdown on this node's log.
-
-        With the columnar backend the grouped ``(E_j, t_j)`` inputs come
-        straight off the interval columns (no ``PowerInterval`` objects).
-        A passed ``timeline`` is honored as the snapshot to analyze —
-        its captured entries, not the live log — exactly like the
-        streaming path.
+        """Run the Section 2.5 breakdown on this node's log: the grouped
+        ``(E_j, t_j)`` inputs come straight off the interval columns (no
+        ``PowerInterval`` objects).  A passed ``timeline`` is analyzed
+        as captured, not the live log.
         """
-        if resolve_analysis_backend(backend) == "columnar":
-            columnar = (self._columnar_from_builder(timeline)
-                        if timeline is not None
-                        else self.columnar_timeline())
-            return solve_grouped(
-                *columnar.grouped_inputs(
-                    self.platform.icount.nominal_energy_per_pulse_j),
-                self.layout(),
-                self.platform.rail.voltage,
-                weighting=weighting,
-                strict=strict,
-            )
-        tl = timeline if timeline is not None else self.timeline()
-        return solve_breakdown(
-            tl.power_intervals(),
+        if timeline is None:
+            timeline = self.columnar_timeline()
+        return solve_grouped(
+            *timeline.grouped_inputs(
+                self.platform.icount.nominal_energy_per_pulse_j),
             self.layout(),
-            self.platform.icount.nominal_energy_per_pulse_j,
             self.platform.rail.voltage,
             weighting=weighting,
             strict=strict,
@@ -490,65 +449,29 @@ class QuantoNode:
         self,
         fold_proxies: bool = False,
         weighting: str = "sqrt_et",
-        backend: Optional[str] = None,
     ) -> tuple[RegressionResult, EnergyMap]:
         """Regression + energy map off one shared reconstruction — the
-        per-point analysis path experiments should use.
-
-        On the columnar backend (the default) both consumers read the
-        memoized :meth:`columnar_timeline` — one ``np.frombuffer`` decode
-        for the whole analysis, no per-entry objects.  On the streaming
-        backend one :class:`TimelineBuilder` is built and passed to both,
-        so neither path ever decodes the log twice.  Output is
-        bit-identical either way (the backend contract).
+        per-point analysis path experiments should use: both read the
+        memoized :meth:`columnar_timeline`, one ``np.frombuffer`` decode
+        for the whole analysis.
         """
-        if resolve_analysis_backend(backend) == "columnar":
-            regression = self.regression(weighting=weighting,
-                                         backend="columnar")
-            return regression, self.energy_map(
-                regression=regression, fold_proxies=fold_proxies,
-                backend="columnar")
-        timeline = self.timeline()
-        regression = self.regression(timeline, weighting=weighting,
-                                     backend="streaming")
+        regression = self.regression(weighting=weighting)
         return regression, self.energy_map(
-            timeline, regression, fold_proxies=fold_proxies,
-            backend="streaming")
+            regression=regression, fold_proxies=fold_proxies)
 
     def energy_map(
         self,
-        timeline: Optional[TimelineBuilder] = None,
+        timeline: Optional[ColumnarTimeline] = None,
         regression: Optional[RegressionResult] = None,
         fold_proxies: bool = False,
-        backend: Optional[str] = None,
     ) -> EnergyMap:
-        """The full 'where have the joules gone' answer for this node.
-
-        ``backend`` (default: ``$REPRO_ANALYSIS_BACKEND``, else
-        streaming) picks the analysis implementation; both produce
-        bit-identical maps.
-        """
-        backend = resolve_analysis_backend(backend)
-        if backend == "columnar":
-            if timeline is not None:
-                # Analyze the captured snapshot, like the batch wrapper.
-                columnar = self._columnar_from_builder(timeline)
-                reg = regression if regression is not None \
-                    else self.regression(timeline, backend=backend)
-            else:
-                columnar = self.columnar_timeline()
-                reg = regression if regression is not None \
-                    else self.regression(backend=backend)
-            return columnar_energy_map(
-                columnar, reg, self.registry, COMPONENT_NAMES,
-                self.platform.icount.nominal_energy_per_pulse_j,
-                fold_proxies=fold_proxies,
-                idle_name=self.registry.name_of(self.idle),
-            )
-        tl = timeline if timeline is not None else self.timeline()
-        reg = regression if regression is not None else self.regression(tl)
-        return build_energy_map(
-            tl, reg, self.registry, COMPONENT_NAMES,
+        """The full 'where have the joules gone' answer for this node."""
+        if timeline is None:
+            timeline = self.columnar_timeline()
+        if regression is None:
+            regression = self.regression(timeline)
+        return columnar_energy_map(
+            timeline, regression, self.registry, COMPONENT_NAMES,
             self.platform.icount.nominal_energy_per_pulse_j,
             fold_proxies=fold_proxies,
             idle_name=self.registry.name_of(self.idle),

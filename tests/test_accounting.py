@@ -1,4 +1,9 @@
-"""The energy map: merging intervals, regression, and segments."""
+"""The energy map: merging intervals, regression, and segments.
+
+Every hand-written case is priced on both engines — the streaming
+accumulator over the stream trackers and the columnar fold over the
+columnar timeline — which must agree bit-for-bit.
+"""
 
 import pytest
 
@@ -7,6 +12,7 @@ from repro.core.accounting import (
     UNTRACKED_KEY,
     EnergyMap,
     build_energy_map,
+    stream_energy_map,
 )
 from repro.core.labels import ActivityLabel, ActivityRegistry
 from repro.core.logger import (
@@ -20,16 +26,30 @@ from repro.core.logger import (
     decode_log,
 )
 from repro.core.regression import SinkColumn, solve_breakdown
-from repro.core.timeline import TimelineBuilder
 from repro.errors import RegressionError
 from repro.units import ms
+from timeline_views import assert_maps_identical, reconstructions
 
 QUANTUM = 8.33e-6
 
 
+def _raw(rows):
+    return b"".join(ENTRY_STRUCT.pack(*row) for row in rows)
+
+
 def _timeline(rows, end_ms, **kwargs):
-    raw = b"".join(ENTRY_STRUCT.pack(*row) for row in rows)
-    return TimelineBuilder(decode_log(raw), end_time_ns=ms(end_ms), **kwargs)
+    stream, columnar = reconstructions(_raw(rows), ms(end_ms), **kwargs)
+    # Both reconstructions must yield the intervals the regression reads.
+    assert stream.power_intervals() == columnar.power_intervals()
+    return columnar
+
+
+def _energy_map(timeline, *args, **kwargs):
+    """The columnar map, asserted bit-identical to the streaming one."""
+    emap = build_energy_map(timeline, *args, **kwargs)
+    assert_maps_identical(emap, build_energy_map(
+        timeline, *args, backend="streaming", **kwargs))
+    return emap
 
 
 def _pulses(power_w, dt_ms):
@@ -58,7 +78,7 @@ def test_energy_split_by_activity_segments():
     layout = [SinkColumn(1, 1, "LED0")]
     regression = solve_breakdown(
         timeline.power_intervals(), layout, QUANTUM, 3.0)
-    emap = build_energy_map(
+    emap = _energy_map(
         timeline, regression, registry, {1: "LED0"}, QUANTUM)
     by_activity = emap.energy_by_activity()
     # 100 ms red vs 300 ms blue of LED power.
@@ -81,7 +101,7 @@ def test_reconstruction_conservation():
     layout = [SinkColumn(1, 1, "LED0")]
     regression = solve_breakdown(
         timeline.power_intervals(), layout, QUANTUM, 3.0)
-    emap = build_energy_map(
+    emap = _energy_map(
         timeline, regression, registry, {1: "LED0"}, QUANTUM)
     replayed = sum(
         regression.power_of_states(iv.states) * iv.dt_ns * 1e-9
@@ -106,10 +126,10 @@ def test_proxy_folding_changes_attribution():
     regression = solve_breakdown(
         timeline.power_intervals(), layout, QUANTUM, 3.0)
 
-    unfolded = build_energy_map(
+    unfolded = _energy_map(
         timeline, regression, registry, {0: "CPU"}, QUANTUM,
         fold_proxies=False)
-    folded = build_energy_map(
+    folded = _energy_map(
         _timeline(rows, 200), regression, registry, {0: "CPU"}, QUANTUM,
         fold_proxies=True)
     proxy_name = registry.name_of(proxy)
@@ -136,7 +156,7 @@ def test_multi_device_equal_split():
     layout = [SinkColumn(9, 1, "TimerHW")]
     regression = solve_breakdown(
         timeline.power_intervals(), layout, QUANTUM, 3.0)
-    emap = build_energy_map(
+    emap = _energy_map(
         timeline, regression, registry, {9: "TimerHW"}, QUANTUM)
     by_activity = emap.energy_by_activity()
     assert by_activity["1:Red"] == pytest.approx(by_activity["1:Blue"],
@@ -154,7 +174,7 @@ def test_untracked_device_goes_to_untracked_bucket():
     layout = [SinkColumn(7, 1, "ADC")]
     regression = solve_breakdown(
         timeline.power_intervals(), layout, QUANTUM, 3.0)
-    emap = build_energy_map(
+    emap = _energy_map(
         timeline, regression, registry, {7: "ADC"}, QUANTUM)
     assert emap.energy_j.get(("ADC", UNTRACKED_KEY), 0.0) > 0.0
 
@@ -163,8 +183,39 @@ def test_empty_timeline_rejected():
     registry = ActivityRegistry()
     timeline = _timeline([], 0)
     layout = [SinkColumn(0, 1, "CPU")]
-    with pytest.raises(RegressionError):
-        build_energy_map(timeline, None, registry, {}, QUANTUM)
+    for backend in ("columnar", "streaming"):
+        with pytest.raises(RegressionError):
+            build_energy_map(timeline, None, registry, {}, QUANTUM,
+                             backend=backend)
+
+
+def test_out_of_order_entries_rejected():
+    """The columnar fold's share arithmetic needs strictly positive
+    intervals, which entries in log order always give; entries out of
+    log order raise instead of pricing garbage."""
+    registry = ActivityRegistry()
+    red = registry.label(1, "Red").encode()
+    rows = [
+        (TYPE_BOOT, 1, 0, 0, 0),
+        (TYPE_ACT_CHANGE, 1, 0, 0, red),
+        (TYPE_POWERSTATE, 1, 100_000, _pulses(0.003, 100), 1),
+        (TYPE_POWERSTATE, 1, 200_000, _pulses(0.01, 200), 0),
+        (TYPE_POWERSTATE, 1, 300_000, _pulses(0.012, 300), 1),
+        (TYPE_POWERSTATE, 1, 400_000, _pulses(0.02, 400), 0),
+    ]
+    entries = decode_log(_raw(rows))
+    layout = [SinkColumn(1, 1, "LED0")]
+    regression = solve_breakdown(
+        _timeline(rows, 400).power_intervals(), layout, QUANTUM, 3.0)
+    kwargs = dict(end_time_ns=ms(400), single_res_ids=[1])
+    stream_energy_map(entries, regression, registry, {1: "LED0"}, QUANTUM,
+                      backend="columnar", **kwargs)
+    swapped = entries[:3] + [entries[4], entries[3]] + entries[5:]
+    for disordered in (swapped, entries[:2] + entries[:1:-1]):
+        with pytest.raises(RegressionError, match="not in log order"):
+            stream_energy_map(disordered, regression, registry,
+                              {1: "LED0"}, QUANTUM, backend="columnar",
+                              **kwargs)
 
 
 def test_energy_map_views():

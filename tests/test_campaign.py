@@ -97,6 +97,20 @@ def test_manifest_validation_rejects(tmp_path, mutate, message):
         CampaignManifest.load(manifest.path)
 
 
+def test_manifest_with_retired_backend_key_still_loads(tmp_path):
+    """Manifests written when the analysis engine was selectable carry a
+    ``backend`` key; it loads, is ignored, and is not written back."""
+    manifest = plan(tmp_path)
+    doc = json.loads(manifest.path.read_text())
+    assert "backend" not in doc
+    doc["backend"] = "streaming"
+    manifest.path.write_text(json.dumps(doc))
+    loaded = CampaignManifest.load(manifest.path)
+    assert loaded.experiment == EXP and loaded.seeds == SEEDS
+    loaded.save()
+    assert "backend" not in json.loads(manifest.path.read_text())
+
+
 def test_manifest_not_json_rejected(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{torn")

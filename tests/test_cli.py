@@ -51,3 +51,18 @@ def test_experiment_ids_all_importable():
     for exp_id in EXPERIMENT_IDS:
         module = importlib.import_module(f"repro.experiments.{exp_id}")
         assert hasattr(module, "run")
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "table1"],
+    ["sweep", "table3"],
+    ["merge-sweeps"],
+    ["campaign", "plan", "m.json", "table3"],
+    ["blink"],
+])
+def test_no_command_offers_an_analysis_backend_flag(argv, capsys):
+    """Offline analysis has one engine; no command selects another."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--backend", "streaming"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err

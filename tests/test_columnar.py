@@ -9,14 +9,15 @@ Three layers of equivalence pin the backend down:
 * **Cover** — on randomized logs, the ``searchsorted`` interval cover
   must match the cursor-based streaming cover span-for-span (same
   segments, same overlaps, same order), and the columnar interval /
-  segment reconstruction must equal the batch builder's objects.
+  segment reconstruction must equal what the stream trackers emit.
 * **Attribution** — the full columnar energy map must be bit-identical
   (float bits and dict insertion order) to the streaming accumulator on
   randomized logs with randomized analysis windows — including windows
   the log overshoots (the tail-replay path) — in both proxy-fold modes.
 
 The experiment-level contract (columnar ≡ streaming on every
-experiment) lives in the backend-parametrized ``test_golden_digests``.
+experiment) lives in ``test_golden_digests``, which cross-checks every
+columnar map an experiment builds against the streaming engine.
 """
 
 import random
@@ -29,6 +30,7 @@ from repro.core.accounting import (
     _scan_cover,
     ANALYSIS_BACKENDS,
     AnalysisBackendError,
+    build_energy_map,
     columnar_energy_map,
     resolve_analysis_backend,
     stream_energy_map,
@@ -45,10 +47,12 @@ from repro.core.regression import (
     RegressionResult,
     SinkColumn,
     group_intervals,
+    solve_breakdown,
     solve_grouped,
 )
-from repro.core.timeline import ColumnarTimeline, TimelineBuilder
+from repro.core.timeline import ColumnarTimeline
 from repro.errors import RegressionError
+from timeline_views import assert_maps_identical, reconstructions
 
 # Entry types, inlined for terse generator code.
 POWER, CHANGE, BIND, ADD, REMOVE, BOOT = 1, 2, 3, 4, 5, 6
@@ -111,17 +115,6 @@ def _regression_for_test():
     )
 
 
-def _maps_equal(reference, candidate):
-    assert list(reference.energy_j) == list(candidate.energy_j)
-    assert reference.energy_j == candidate.energy_j
-    assert list(reference.time_ns) == list(candidate.time_ns)
-    assert reference.time_ns == candidate.time_ns
-    assert reference.metered_energy_j == candidate.metered_energy_j
-    assert reference.reconstructed_energy_j \
-        == candidate.reconstructed_energy_j
-    assert reference.span_ns == candidate.span_ns
-
-
 # -- decode -----------------------------------------------------------------
 
 
@@ -178,20 +171,19 @@ def test_log_columns_from_entries_roundtrip():
 @pytest.mark.parametrize("seed", range(6))
 def test_columnar_reconstruction_matches_builder(seed):
     """Intervals (times, pulses, state vectors) and per-device segments
-    (spans, labels, bind resolution) equal the batch builder's."""
+    (spans, labels, bind resolution) equal the ones the stream trackers
+    build and emit."""
     rng = random.Random(seed)
     raw, end_us = _random_log(rng)
-    entries = decode_log(raw)
-    builder = TimelineBuilder(
-        entries, end_time_ns=end_us * 1000,
+    stream, columnar = reconstructions(
+        raw, end_time_ns=end_us * 1000,
         single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
-    columnar = ColumnarTimeline(
-        decode_columns(raw), end_time_ns=end_us * 1000,
-        single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
-    assert columnar.power_intervals() == builder.power_intervals()
+    assert columnar.power_intervals() == stream.power_intervals()
     for rid in SINGLE_IDS:
         assert columnar.activity_segments(rid) \
-            == builder.activity_segments(rid)
+            == stream.activity_segments(rid)
+    assert columnar.multi_activity_segments(MULTI_ID) \
+        == stream.multi_activity_segments(MULTI_ID)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -200,18 +192,14 @@ def test_ragged_cover_matches_cursor_cover(seed):
     exactly: same segments, same overlaps, same order, per interval."""
     rng = random.Random(100 + seed)
     raw, end_us = _random_log(rng)
-    entries = decode_log(raw)
-    builder = TimelineBuilder(
-        entries, end_time_ns=end_us * 1000,
+    stream, columnar = reconstructions(
+        raw, end_time_ns=end_us * 1000,
         single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
-    columnar = ColumnarTimeline(
-        decode_columns(raw), end_time_ns=end_us * 1000,
-        single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
-    intervals = builder.power_intervals()
+    intervals = stream.power_intervals()
     window_t0 = np.array([iv.t0_ns for iv in intervals], dtype=np.int64)
     window_t1 = np.array([iv.t1_ns for iv in intervals], dtype=np.int64)
     for rid in SINGLE_IDS:
-        segments = builder.activity_segments(rid)
+        segments = stream.activity_segments(rid)
         device = columnar.single_columns(rid)
         offsets, seg_rows, overlaps = _ragged_cover(
             window_t0, window_t1, device.t0, device.t1)
@@ -257,7 +245,7 @@ def test_randomized_maps_bit_identical(seed, fold):
         iter_entries(raw), regression, registry, names, 1e-6, **kwargs)
     candidate = columnar_energy_map(
         raw, regression, registry, names, 1e-6, **kwargs)
-    _maps_equal(reference, candidate)
+    assert_maps_identical(reference, candidate)
 
 
 def test_grouped_inputs_match_group_intervals():
@@ -278,19 +266,39 @@ def test_grouped_inputs_match_group_intervals():
         columnar.grouped_inputs(1e-6, min_interval_ns=10**15)
 
 
+def _streaming_map(node, timeline, regression, fold_proxies=False):
+    """The streaming engine's map of a node timeline."""
+    from repro.tos.node import COMPONENT_NAMES
+
+    return build_energy_map(
+        timeline, regression, node.registry, COMPONENT_NAMES,
+        node.platform.icount.nominal_energy_per_pulse_j,
+        fold_proxies=fold_proxies,
+        idle_name=node.registry.name_of(node.idle), backend="streaming")
+
+
+def _interval_regression(node, timeline):
+    """The regression solved from materialized intervals."""
+    return solve_breakdown(
+        timeline.power_intervals(), node.layout(),
+        node.platform.icount.nominal_energy_per_pulse_j,
+        node.platform.rail.voltage)
+
+
 def test_node_backend_api_is_bit_identical():
-    """The node-level entry points (regression + energy map) agree
-    across backends, and the columnar regression is the same solved
-    object contents as the interval-fed one."""
+    """The node-level entry points (regression + energy map) agree with
+    the streaming engine over the same timeline, and the columnar
+    regression is the same solved object contents as the interval-fed
+    one."""
     from repro.experiments.common import run_blink
     from repro.units import seconds
 
     node, _app, _sim = run_blink(seed=5, duration_ns=seconds(4))
-    reference_map = node.energy_map(backend="streaming")
-    columnar_map = node.energy_map(backend="columnar")
-    _maps_equal(reference_map, columnar_map)
-    reference = node.regression(backend="streaming")
-    candidate = node.regression(backend="columnar")
+    timeline = node.timeline()
+    candidate = node.regression()
+    assert_maps_identical(_streaming_map(node, timeline, candidate),
+                          node.energy_map())
+    reference = _interval_regression(node, timeline)
     assert reference.power_w == candidate.power_w
     assert reference.const_power_w == candidate.const_power_w
     assert reference.group_states == candidate.group_states
@@ -299,8 +307,9 @@ def test_node_backend_api_is_bit_identical():
     assert (reference.y == candidate.y).all()
     assert (reference.y_hat == candidate.y_hat).all()
     # Fold mode through the node API too.
-    _maps_equal(node.energy_map(fold_proxies=True, backend="streaming"),
-                node.energy_map(fold_proxies=True, backend="columnar"))
+    assert_maps_identical(
+        _streaming_map(node, timeline, candidate, fold_proxies=True),
+        node.energy_map(fold_proxies=True))
 
 
 def test_solve_grouped_equals_solve_breakdown():
@@ -350,7 +359,7 @@ def test_device_turning_multi_mid_log_matches_streaming():
             **kwargs)
         candidate = columnar_energy_map(
             raw, regression, registry, {rid: "Dev"}, 1e-6, **kwargs)
-        _maps_equal(reference, candidate)
+        assert_maps_identical(reference, candidate)
     # Declared both single and multi: the stream keeps an (unfed) single
     # tracker, so covers resolve as single-with-no-segments — all idle.
     kwargs = dict(fold_proxies=False, idle_name="Idle", end_time_ns=400_000,
@@ -360,66 +369,44 @@ def test_device_turning_multi_mid_log_matches_streaming():
         **kwargs)
     candidate = columnar_energy_map(
         raw, regression, registry, {rid: "Dev"}, 1e-6, **kwargs)
-    _maps_equal(reference, candidate)
+    assert_maps_identical(reference, candidate)
 
 
 def test_stale_timeline_snapshot_matches_streaming():
     """A timeline captured before the log grows must analyze its
-    captured entries on both backends — not the live log."""
+    captured entries on both engines — not the live log."""
     from repro.experiments.common import run_blink
     from repro.units import seconds
 
     node, _app, sim = run_blink(seed=4, duration_ns=seconds(2))
     stale = node.timeline()
+    stale_count = len(stale.columns)
     sim.run(until=sim.now + seconds(2))  # the log keeps growing
-    reference = node.energy_map(stale, backend="streaming")
-    candidate = node.energy_map(stale, backend="columnar")
-    _maps_equal(reference, candidate)
-    ref_reg = node.regression(stale, backend="streaming")
-    cand_reg = node.regression(stale, backend="columnar")
+    assert node.logger.records_written > stale_count
+    cand_reg = node.regression(stale)
+    candidate = node.energy_map(stale, cand_reg)
+    assert len(stale.columns) == stale_count
+    assert_maps_identical(_streaming_map(node, stale, cand_reg), candidate)
+    ref_reg = _interval_regression(node, stale)
     assert ref_reg.power_w == cand_reg.power_w
     assert ref_reg.group_time_ns == cand_reg.group_time_ns
     assert ref_reg.group_energy_j == cand_reg.group_energy_j
+    # The live log's map covers the extra run; the snapshot's does not.
+    assert node.energy_map().span_ns > candidate.span_ns
 
 
 # -- selection --------------------------------------------------------------
 
 
-def test_backend_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_ANALYSIS_BACKEND", raising=False)
-    # Columnar is the default since the sweep-throughput overhaul (PR 5);
-    # bit-identity makes the default invisible to every result.
+def test_backend_resolution():
+    # Columnar is the default; bit-identity makes it invisible to every
+    # result.
     assert resolve_analysis_backend() == "columnar"
     assert resolve_analysis_backend("columnar") == "columnar"
-    monkeypatch.setenv("REPRO_ANALYSIS_BACKEND", "columnar")
-    assert resolve_analysis_backend() == "columnar"
     assert resolve_analysis_backend("streaming") == "streaming"
     with pytest.raises(AnalysisBackendError):
         resolve_analysis_backend("vectorized")
-    monkeypatch.setenv("REPRO_ANALYSIS_BACKEND", "bogus")
-    with pytest.raises(AnalysisBackendError):
-        resolve_analysis_backend()
     assert set(ANALYSIS_BACKENDS) == {"streaming", "columnar"}
-
-
-def test_sweep_backend_digests_match(tmp_path):
-    """A sweep run under the columnar backend reports byte-identical
-    per-point digests (the backend cannot leak into results), and the
-    environment variable is restored afterwards."""
-    import os
-
-    from repro.sim.sweep import run_sweep
-
-    overrides = {"duration_ns": ["2000000000"]}
-    ambient = os.environ.get("REPRO_ANALYSIS_BACKEND")
-    reference = run_sweep("table3", [0, 1], overrides)
-    candidate = run_sweep("table3", [0, 1], overrides, backend="columnar")
-    # The explicit backend is exported only for the sweep's duration;
-    # whatever was set before (e.g. a CI matrix leg) is restored.
-    assert os.environ.get("REPRO_ANALYSIS_BACKEND") == ambient
-    assert reference.digest() == candidate.digest()
-    assert candidate.backend == "columnar"
-    assert "analysis backend: columnar" in candidate.render()
 
 
 def test_columnar_errors_match_streaming():

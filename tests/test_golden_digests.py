@@ -31,11 +31,49 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.accounting import ANALYSIS_BACKENDS, BACKEND_ENV_VAR
+import repro.tos.node as node_module
+from repro.core.accounting import ANALYSIS_BACKENDS, build_energy_map
+from repro.core.regression import group_intervals
+from repro.core.timeline import ColumnarTimeline
 from repro.experiments.common import EXPERIMENT_IDS, run_experiment
+from timeline_views import assert_maps_identical
 
 GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text("utf-8"))
+
+
+def cross_check_engines(monkeypatch) -> dict:
+    """Re-price every analysis a node runs on the streaming reference.
+
+    Each map the node's columnar entry point builds is rebuilt by the
+    streaming engine from the same timeline, and each grouped regression
+    input is regrouped from materialized intervals; both must agree bit
+    for bit.  Returns live call counts."""
+    calls = {"maps": 0, "regressions": 0}
+    columnar_map = node_module.columnar_energy_map
+    grouped_inputs = ColumnarTimeline.grouped_inputs
+
+    def checked_map(timeline, regression, registry, component_names,
+                    energy_per_pulse_j, **kwargs):
+        emap = columnar_map(timeline, regression, registry,
+                            component_names, energy_per_pulse_j, **kwargs)
+        assert_maps_identical(build_energy_map(
+            timeline, regression, registry, component_names,
+            energy_per_pulse_j, backend="streaming", **kwargs), emap)
+        calls["maps"] += 1
+        return emap
+
+    def checked_grouped(self, energy_per_pulse_j, min_interval_ns=0):
+        grouped = grouped_inputs(self, energy_per_pulse_j, min_interval_ns)
+        usable = [iv for iv in self.power_intervals()
+                  if iv.dt_ns >= min_interval_ns]
+        assert group_intervals(usable, energy_per_pulse_j) == grouped
+        calls["regressions"] += 1
+        return grouped
+
+    monkeypatch.setattr(node_module, "columnar_energy_map", checked_map)
+    monkeypatch.setattr(ColumnarTimeline, "grouped_inputs", checked_grouped)
+    return calls
 
 
 def test_golden_file_covers_every_experiment():
@@ -45,11 +83,12 @@ def test_golden_file_covers_every_experiment():
 @pytest.mark.parametrize("backend", ANALYSIS_BACKENDS)
 @pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
 def test_experiment_digest_matches_golden(exp_id, backend, monkeypatch):
-    """Every experiment, on every analysis backend, must reproduce the
-    pre-optimization digest — one golden value per experiment, shared by
-    all backends, is the whole determinism contract: columnar ≡
+    """Every experiment must reproduce the pre-optimization digest.  The
+    ``streaming`` leg additionally re-prices every map and regression
+    the experiment computes on the streaming reference — columnar ≡
     streaming, float bits and dict order, on every experiment."""
-    monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+    if backend == "streaming":
+        cross_check_engines(monkeypatch)
     rendered = run_experiment(exp_id, seed=0).render()
     digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
     assert digest == GOLDEN[exp_id], (
@@ -57,3 +96,15 @@ def test_experiment_digest_matches_golden(exp_id, backend, monkeypatch):
         f"pre-optimization reference "
         f"(got {digest[:16]}, want {GOLDEN[exp_id][:16]})"
     )
+
+
+def test_cross_check_sees_node_analysis(monkeypatch):
+    """The cross-check hooks the path experiments take: one Blink
+    breakdown is re-priced once per map and once per regression."""
+    from repro.experiments.common import run_blink
+    from repro.units import seconds
+
+    calls = cross_check_engines(monkeypatch)
+    node, _app, _sim = run_blink(seed=0, duration_ns=seconds(2))
+    node.breakdown(fold_proxies=True)
+    assert calls == {"maps": 1, "regressions": 1}

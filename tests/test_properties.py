@@ -15,11 +15,12 @@ from repro.core.logger import (
     TYPE_ACT_CHANGE,
     TYPE_BOOT,
     TYPE_POWERSTATE,
-    decode_log,
+    decode_columns,
 )
 from repro.core.regression import SinkColumn, solve_breakdown
 from repro.core.accounting import build_energy_map
-from repro.core.timeline import TimelineBuilder
+from repro.core.timeline import ColumnarTimeline
+from timeline_views import assert_maps_identical, reconstructions
 
 QUANTUM = 8.33e-6
 
@@ -42,16 +43,16 @@ def test_activity_segments_tile_time(steps):
         rows.append(ENTRY_STRUCT.pack(TYPE_ACT_CHANGE, 0, t, 0,
                                       value & 0xFFFF))
     end_ns = (t + 500) * 1000
-    entries = decode_log(b"".join(rows))
-    builder = TimelineBuilder(entries, end_time_ns=end_ns)
-    segments = builder.activity_segments(0)
-    if not segments:
-        return
-    assert segments[0].t0_ns == entries[0].time_ns
-    assert segments[-1].t1_ns == end_ns
-    for a, b in zip(segments, segments[1:]):
-        assert a.t1_ns == b.t0_ns
-        assert a.dt_ns > 0
+    first_ns = steps[0][0] * 1000
+    for timeline in reconstructions(b"".join(rows), end_time_ns=end_ns):
+        segments = timeline.activity_segments(0)
+        if not segments:
+            continue
+        assert segments[0].t0_ns == first_ns
+        assert segments[-1].t1_ns == end_ns
+        for a, b in zip(segments, segments[1:]):
+            assert a.t1_ns == b.t0_ns
+            assert a.dt_ns > 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -82,15 +83,18 @@ def test_energy_map_conserves_energy(schedule, led_power, const_power):
             rows.append(ENTRY_STRUCT.pack(
                 TYPE_POWERSTATE, 1, t_us, int(pulses), new_state))
             state = new_state
-    entries = decode_log(b"".join(rows))
-    builder = TimelineBuilder(entries, end_time_ns=t_us * 1000)
-    intervals = builder.power_intervals()
+    timeline = ColumnarTimeline(decode_columns(b"".join(rows)),
+                                end_time_ns=t_us * 1000)
+    intervals = timeline.power_intervals()
     if not intervals:
         return
     layout = [SinkColumn(1, 1, "LED0")]
     regression = solve_breakdown(intervals, layout, QUANTUM, 3.0)
-    emap = build_energy_map(builder, regression, registry, {1: "LED0"},
+    emap = build_energy_map(timeline, regression, registry, {1: "LED0"},
                             QUANTUM)
+    assert_maps_identical(emap, build_energy_map(
+        timeline, regression, registry, {1: "LED0"}, QUANTUM,
+        backend="streaming"))
     replayed = sum(
         regression.power_of_states(iv.states) * iv.dt_ns * 1e-9
         for iv in intervals)
@@ -142,11 +146,10 @@ def test_multi_device_time_split_sums_to_presence(values):
             rows.append(ENTRY_STRUCT.pack(TYPE_ACT_ADD, 9, t, 0, value))
             present.add(value)
     end_ns = (t + 100) * 1000
-    entries = decode_log(b"".join(rows))
-    builder = TimelineBuilder(entries, end_time_ns=end_ns)
-    segments = builder.multi_activity_segments(9)
-    covered = sum(s.dt_ns for s in segments)
-    split_total = sum(
-        s.dt_ns // len(s.labels) * len(s.labels)
-        for s in segments if s.labels)
-    assert split_total <= covered
+    for timeline in reconstructions(b"".join(rows), end_time_ns=end_ns):
+        segments = timeline.multi_activity_segments(9)
+        covered = sum(s.dt_ns for s in segments)
+        split_total = sum(
+            s.dt_ns // len(s.labels) * len(s.labels)
+            for s in segments if s.labels)
+        assert split_total <= covered

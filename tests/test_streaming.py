@@ -24,23 +24,12 @@ from repro.core.accounting import (
 )
 from repro.core.logger import ENTRY_STRUCT, decode_log, iter_entries
 from repro.core.regression import RegressionResult
-from repro.core.timeline import TimelineBuilder, TimelineStream
+from repro.core.timeline import TimelineStream
 from repro.experiments.common import run_blink
 from repro.tos.network import Network
 from repro.tos.node import COMPONENT_NAMES, RES_TIMERB, NodeConfig
 from repro.units import ms, seconds
-
-
-def _maps_equal(batch, stream):
-    """Exact equality, including the key insertion order the renderers
-    see when they iterate the dicts."""
-    assert list(batch.energy_j) == list(stream.energy_j)
-    assert batch.energy_j == stream.energy_j
-    assert list(batch.time_ns) == list(stream.time_ns)
-    assert batch.time_ns == stream.time_ns
-    assert batch.metered_energy_j == stream.metered_energy_j
-    assert batch.reconstructed_energy_j == stream.reconstructed_energy_j
-    assert batch.span_ns == stream.span_ns
+from timeline_views import ColumnarView, assert_maps_identical
 
 
 #: Every analysis backend must reproduce the batch reference exactly;
@@ -80,7 +69,7 @@ def _assert_node_streams_identically(node, backend="streaming"):
         )
         stream = _stream_map_for(node, timeline, regression, fold,
                                  backend=backend)
-        _maps_equal(batch, stream)
+        assert_maps_identical(batch, stream)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -123,9 +112,14 @@ def test_collection_network_streams_identically(backend):
 
 
 def test_timeline_stream_matches_builder_on_blink():
-    """The stream's emitted intervals/segments equal the batch lists."""
+    """The stream's emitted intervals/segments equal the columnar
+    timeline's materialized lists."""
     node, _app, _sim = run_blink(seed=2, duration_ns=seconds(4))
-    timeline = node.timeline()
+    node_timeline = node.timeline()
+    timeline = ColumnarView(
+        node_timeline.columns, end_time_ns=node_timeline.end_time_ns,
+        single_res_ids=node_timeline.single_device_ids(),
+        multi_res_ids=node_timeline.multi_device_ids())
     intervals, segments, multis = [], [], []
     stream = TimelineStream(
         single_res_ids=[d.res_id for d in node._single_devices()],

@@ -146,6 +146,24 @@ def test_sweep_render_reports_stats_and_digests():
     assert result.digest() in text
 
 
+def test_explicit_batch_reaches_the_executor(monkeypatch):
+    """``batch=1`` must run unbatched, not fall back to the default K."""
+    import repro.sim.sweep as sweep_mod
+
+    monkeypatch.delenv(sweep_mod.BATCH_ENV_VAR, raising=False)
+    overrides = {"duration_ns": ["2000000000"]}
+    batched = run_sweep("table3", [0, 1], overrides, jobs=1)
+    assert batched.batch == sweep_mod.DEFAULT_BATCH_K
+
+    def refuse(points, k):
+        raise AssertionError(f"batched executor ran with k={k}")
+
+    monkeypatch.setattr(sweep_mod, "_iter_points_batched", refuse)
+    unbatched = run_sweep("table3", [0, 1], overrides, jobs=1, batch=1)
+    assert unbatched.batch == 1
+    assert unbatched.digest() == batched.digest()
+
+
 def test_sweep_result_lookup_raises_on_unknown_metric():
     result = run_sweep("table3", [0], {"duration_ns": [SHORT]}, jobs=1)
     with pytest.raises(KeyError):
@@ -164,6 +182,21 @@ def test_cli_sweep_smoke(capsys):
     assert code == 0
     assert "aggregate metrics" in out
     assert "energy_by_pair_mj.LED0/1:Red" in out
+
+
+def test_cli_sweep_batch_one_runs_unbatched(capsys, monkeypatch):
+    import repro.sim.sweep as sweep_mod
+
+    def refuse(points, k):
+        raise AssertionError(f"batched executor ran with k={k}")
+
+    monkeypatch.setattr(sweep_mod, "_iter_points_batched", refuse)
+    code = main([
+        "sweep", "table3", "--seeds", "2", "--batch", "1",
+        "--set", "duration_ns=2000000000",
+    ])
+    assert code == 0
+    assert "sweep digest" in capsys.readouterr().out
 
 
 def test_cli_sweep_grid_over_values(capsys):

@@ -17,6 +17,7 @@ from repro.core.logger import iter_entries
 from repro.experiments.common import run_blink
 from repro.tos.node import COMPONENT_NAMES, RES_TIMERB
 from repro.units import seconds
+from timeline_views import reconstructions
 
 
 @pytest.fixture(scope="module")
@@ -40,30 +41,38 @@ def map_at(node, regression, raw, end_time_ns, fold, backend):
     )
 
 
-def boundary_ends(timeline):
-    """Every boundary a window end could land on exactly: segment
-    edges, interval edges, the last entry, and points past the log."""
+def last_entry_ns(timeline):
+    return int(timeline.columns.time_ns[-1])
+
+
+def boundary_ends(timeline, raw):
+    """Every boundary a window end could land on exactly, as either
+    reconstruction draws it: segment edges, interval edges, the last
+    entry, and points past the log."""
     ends = set()
-    for res_id in timeline.single_device_ids():
-        for segment in timeline.activity_segments(res_id):
-            ends.add(segment.t0_ns)
-            ends.add(segment.t1_ns)
-    for res_id in timeline.multi_device_ids():
-        for segment in timeline.multi_activity_segments(res_id):
-            ends.add(segment.t0_ns)
-            ends.add(segment.t1_ns)
-    for interval in timeline.power_intervals():
-        ends.add(interval.t1_ns)
-    last_entry_ns = timeline.entries[-1].time_ns
-    ends |= {last_entry_ns, last_entry_ns + 1,
-             last_entry_ns + int(seconds(1))}
+    for view in reconstructions(
+            raw, timeline.end_time_ns,
+            single_res_ids=timeline.single_device_ids(),
+            multi_res_ids=timeline.multi_device_ids()):
+        for res_id in view.single_device_ids():
+            for segment in view.activity_segments(res_id):
+                ends.add(segment.t0_ns)
+                ends.add(segment.t1_ns)
+        for res_id in view.multi_device_ids():
+            for segment in view.multi_activity_segments(res_id):
+                ends.add(segment.t0_ns)
+                ends.add(segment.t1_ns)
+        for interval in view.power_intervals():
+            ends.add(interval.t1_ns)
+    last = last_entry_ns(timeline)
+    ends |= {last, last + 1, last + int(seconds(1))}
     return sorted(end for end in ends if end > 0)
 
 
 @pytest.mark.parametrize("fold", [False, True])
 def test_backends_agree_at_every_boundary_end(blink, fold):
     node, timeline, regression, raw = blink
-    ends = boundary_ends(timeline)
+    ends = boundary_ends(timeline, raw)
     assert len(ends) > 50  # the probe is only meaningful with coverage
     for end in ends:
         streaming = map_at(node, regression, raw, end, fold, "streaming")
@@ -84,13 +93,12 @@ def test_window_past_the_log_matches_last_entry_extension(blink):
     deferred tail replay covers it, and both backends still agree (the
     map keeps growing only in time, not in metered pulses)."""
     node, timeline, regression, raw = blink
-    last_entry_ns = timeline.entries[-1].time_ns
-    far = last_entry_ns + int(seconds(30))
+    last = last_entry_ns(timeline)
+    far = last + int(seconds(30))
     streaming = map_at(node, regression, raw, far, False, "streaming")
     columnar = map_at(node, regression, raw, far, False, "columnar")
     assert streaming.energy_j == columnar.energy_j
     assert streaming.span_ns == columnar.span_ns
-    at_end = map_at(node, regression, raw, last_entry_ns, False,
-                    "streaming")
+    at_end = map_at(node, regression, raw, last, False, "streaming")
     assert streaming.metered_energy_j == at_end.metered_energy_j
     assert streaming.span_ns >= at_end.span_ns

@@ -1,6 +1,8 @@
-"""Timeline reconstruction: power intervals, activity segments, binds."""
+"""Timeline reconstruction: power intervals, activity segments, binds.
 
-import struct
+Every case runs against both reconstructions — the streaming trackers
+and the columnar timeline — through :func:`reconstructions`.
+"""
 
 import pytest
 
@@ -13,9 +15,8 @@ from repro.core.logger import (
     TYPE_ACT_REMOVE,
     TYPE_BOOT,
     TYPE_POWERSTATE,
-    decode_log,
 )
-from repro.core.timeline import TimelineBuilder
+from timeline_views import reconstructions
 
 RED = ActivityLabel(1, 1).encode()
 BLUE = ActivityLabel(1, 2).encode()
@@ -24,149 +25,149 @@ PROXY2 = ActivityLabel(1, 0xC9).encode()
 REMOTE = ActivityLabel(4, 1).encode()
 
 
-def _entries(*rows):
+def _raw(*rows):
     """rows: (type, res_id, time_us, icount, value)."""
-    raw = b"".join(ENTRY_STRUCT.pack(*row) for row in rows)
-    return decode_log(raw)
+    return b"".join(ENTRY_STRUCT.pack(*row) for row in rows)
 
 
 def test_power_intervals_basic():
-    entries = _entries(
+    raw = _raw(
         (TYPE_BOOT, 0, 0, 0, 0),
         (TYPE_BOOT, 1, 0, 0, 0),
         (TYPE_POWERSTATE, 1, 100, 10, 1),   # LED on at 100 us
         (TYPE_POWERSTATE, 1, 300, 40, 0),   # LED off at 300 us
     )
-    builder = TimelineBuilder(entries, end_time_ns=400_000)
-    intervals = builder.power_intervals()
-    # Two measured intervals; time past the last record (300..400 us) is
-    # unobservable energy-wise and is not fabricated.
-    assert len(intervals) == 2
-    first, second = intervals
-    assert (first.t0_ns, first.t1_ns, first.pulses) == (0, 100_000, 10)
-    assert dict(first.states) == {0: 0, 1: 0}
-    assert dict(second.states)[1] == 1
-    assert second.pulses == 30
-    assert second.t1_ns == 300_000
+    for timeline in reconstructions(raw, end_time_ns=400_000):
+        intervals = timeline.power_intervals()
+        # Two measured intervals; time past the last record (300..400
+        # us) is unobservable energy-wise and is not fabricated.
+        assert len(intervals) == 2, timeline.name
+        first, second = intervals
+        assert (first.t0_ns, first.t1_ns, first.pulses) == (0, 100_000, 10)
+        assert dict(first.states) == {0: 0, 1: 0}
+        assert dict(second.states)[1] == 1
+        assert second.pulses == 30
+        assert second.t1_ns == 300_000
 
 
 def test_power_interval_energy():
-    entries = _entries(
+    raw = _raw(
         (TYPE_BOOT, 0, 0, 0, 0),
         (TYPE_POWERSTATE, 0, 100, 12, 1),
     )
-    builder = TimelineBuilder(entries, end_time_ns=200_000)
-    interval = builder.power_intervals()[0]
-    assert interval.energy_j(8.33e-6) == pytest.approx(12 * 8.33e-6)
-    assert interval.state_of(0) == 0
-    assert interval.state_of(99) is None
+    for timeline in reconstructions(raw, end_time_ns=200_000):
+        interval = timeline.power_intervals()[0]
+        assert interval.energy_j(8.33e-6) == pytest.approx(12 * 8.33e-6)
+        assert interval.state_of(0) == 0
+        assert interval.state_of(99) is None
 
 
 def test_simultaneous_changes_fold_into_one_boundary():
-    entries = _entries(
+    raw = _raw(
         (TYPE_BOOT, 0, 0, 0, 0),
         (TYPE_BOOT, 1, 0, 0, 0),
         (TYPE_POWERSTATE, 0, 100, 5, 1),
         (TYPE_POWERSTATE, 1, 100, 5, 1),  # same microsecond
         (TYPE_POWERSTATE, 0, 200, 9, 0),
     )
-    builder = TimelineBuilder(entries, end_time_ns=300_000)
-    intervals = builder.power_intervals()
-    # [0,100) both off; [100,200) both on (one boundary, not two).
-    assert len(intervals) == 2
-    assert dict(intervals[1].states) == {0: 1, 1: 1}
+    for timeline in reconstructions(raw, end_time_ns=300_000):
+        intervals = timeline.power_intervals()
+        # [0,100) both off; [100,200) both on (one boundary, not two).
+        assert len(intervals) == 2, timeline.name
+        assert dict(intervals[1].states) == {0: 1, 1: 1}
 
 
 def test_activity_segments_basic():
-    entries = _entries(
+    raw = _raw(
         (TYPE_ACT_CHANGE, 0, 0, 0, RED),
         (TYPE_ACT_CHANGE, 0, 100, 0, BLUE),
         (TYPE_ACT_CHANGE, 0, 250, 0, RED),
     )
-    builder = TimelineBuilder(entries, end_time_ns=400_000)
-    segments = builder.activity_segments(0)
-    assert [(s.t0_ns, s.t1_ns, s.label.encode()) for s in segments] == [
-        (0, 100_000, RED),
-        (100_000, 250_000, BLUE),
-        (250_000, 400_000, RED),
-    ]
+    for timeline in reconstructions(raw, end_time_ns=400_000):
+        segments = timeline.activity_segments(0)
+        assert [(s.t0_ns, s.t1_ns, s.label.encode())
+                for s in segments] == [
+            (0, 100_000, RED),
+            (100_000, 250_000, BLUE),
+            (250_000, 400_000, RED),
+        ], timeline.name
 
 
 def test_bind_marks_proxy_segment():
-    entries = _entries(
+    raw = _raw(
         (TYPE_ACT_CHANGE, 0, 0, 0, PROXY),
         (TYPE_ACT_BIND, 0, 100, 0, REMOTE),
         (TYPE_ACT_CHANGE, 0, 200, 0, RED),
     )
-    builder = TimelineBuilder(entries, end_time_ns=300_000)
-    segments = builder.activity_segments(0)
-    proxy_seg = segments[0]
-    assert proxy_seg.label.encode() == PROXY
-    assert proxy_seg.bound_to is not None
-    assert proxy_seg.bound_to.encode() == REMOTE
-    assert proxy_seg.effective_label.encode() == REMOTE
-    # The bound span itself is charged to the remote activity.
-    assert segments[1].label.encode() == REMOTE
+    for timeline in reconstructions(raw, end_time_ns=300_000):
+        segments = timeline.activity_segments(0)
+        proxy_seg = segments[0]
+        assert proxy_seg.label.encode() == PROXY, timeline.name
+        assert proxy_seg.bound_to is not None
+        assert proxy_seg.bound_to.encode() == REMOTE
+        assert proxy_seg.effective_label.encode() == REMOTE
+        # The bound span itself is charged to the remote activity.
+        assert segments[1].label.encode() == REMOTE
 
 
 def test_bind_resolves_all_unresolved_proxy_segments():
     """Multiple proxy spans (interrupt, SPI pairs) before the decode bind:
     all of them belong to the bound activity."""
-    entries = _entries(
+    raw = _raw(
         (TYPE_ACT_CHANGE, 0, 0, 0, PROXY),
         (TYPE_ACT_CHANGE, 0, 50, 0, RED),      # interrupted by other work
         (TYPE_ACT_CHANGE, 0, 100, 0, PROXY),   # proxy again
         (TYPE_ACT_BIND, 0, 150, 0, REMOTE),    # decode: bind proxy
     )
-    builder = TimelineBuilder(entries, end_time_ns=200_000)
-    segments = builder.activity_segments(0)
-    proxy_segments = [s for s in segments if s.label.encode() == PROXY]
-    assert len(proxy_segments) == 2
-    assert all(s.effective_label.encode() == REMOTE for s in proxy_segments)
+    for timeline in reconstructions(raw, end_time_ns=200_000):
+        segments = timeline.activity_segments(0)
+        proxy_segments = [s for s in segments if s.label.encode() == PROXY]
+        assert len(proxy_segments) == 2, timeline.name
+        assert all(s.effective_label.encode() == REMOTE
+                   for s in proxy_segments)
 
 
 def test_bind_chains_resolve_transitively():
     """UART proxy bound to RX proxy bound to the remote activity."""
-    entries = _entries(
+    raw = _raw(
         (TYPE_ACT_CHANGE, 0, 0, 0, PROXY2),   # int_UART0RX
         (TYPE_ACT_BIND, 0, 50, 0, PROXY),     # bound to pxy_RX
         (TYPE_ACT_BIND, 0, 100, 0, REMOTE),   # pxy_RX bound to 4:...
     )
-    builder = TimelineBuilder(entries, end_time_ns=150_000)
-    segments = builder.activity_segments(0)
-    uart_seg = segments[0]
-    assert uart_seg.label.encode() == PROXY2
-    assert uart_seg.effective_label.encode() == REMOTE
+    for timeline in reconstructions(raw, end_time_ns=150_000):
+        uart_seg = timeline.activity_segments(0)[0]
+        assert uart_seg.label.encode() == PROXY2, timeline.name
+        assert uart_seg.effective_label.encode() == REMOTE
 
 
 def test_multi_activity_segments():
-    entries = _entries(
+    raw = _raw(
         (TYPE_ACT_ADD, 9, 0, 0, RED),
         (TYPE_ACT_ADD, 9, 100, 0, BLUE),
         (TYPE_ACT_REMOVE, 9, 200, 0, RED),
     )
-    builder = TimelineBuilder(entries, end_time_ns=300_000)
-    segments = builder.multi_activity_segments(9)
-    sets = [frozenset(l.encode() for l in s.labels) for s in segments]
-    assert sets == [
-        frozenset({RED}),
-        frozenset({RED, BLUE}),
-        frozenset({BLUE}),
-    ]
+    for timeline in reconstructions(raw, end_time_ns=300_000):
+        segments = timeline.multi_activity_segments(9)
+        sets = [frozenset(l.encode() for l in s.labels) for s in segments]
+        assert sets == [
+            frozenset({RED}),
+            frozenset({RED, BLUE}),
+            frozenset({BLUE}),
+        ], timeline.name
 
 
 def test_device_kind_inference():
-    entries = _entries(
+    raw = _raw(
         (TYPE_ACT_CHANGE, 0, 0, 0, RED),
         (TYPE_ACT_ADD, 9, 0, 0, RED),
     )
-    builder = TimelineBuilder(entries, end_time_ns=100_000)
-    assert builder.single_device_ids() == [0]
-    assert builder.multi_device_ids() == [9]
+    for timeline in reconstructions(raw, end_time_ns=100_000):
+        assert timeline.single_device_ids() == [0], timeline.name
+        assert timeline.multi_device_ids() == [9]
 
 
 def test_empty_log():
-    builder = TimelineBuilder([], end_time_ns=0)
-    assert builder.power_intervals() == []
-    assert builder.activity_segments(0) == []
-    assert builder.multi_activity_segments(9) == []
+    for timeline in reconstructions(b"", end_time_ns=0):
+        assert timeline.power_intervals() == [], timeline.name
+        assert timeline.activity_segments(0) == []
+        assert timeline.multi_activity_segments(9) == []
