@@ -15,7 +15,6 @@ import dataclasses
 import gc
 import importlib
 import inspect
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -270,12 +269,6 @@ def run_experiment(
 
 # -- warm-start world cache -------------------------------------------------
 
-#: Env switch for the warm-start protocol (default on; set to 0/off/no to
-#: force a cold construction per run, the reference behaviour).
-WARM_START_ENV_VAR = "REPRO_WARM_START"
-
-_WARM_DISABLED = frozenset(("0", "off", "no", "false"))
-
 #: Constructed blink worlds, keyed by configuration signature.  A sweep
 #: worker revisits the same handful of configurations (one per override
 #: combo), so a small LRU holds the working set; each world's log buffer
@@ -286,9 +279,11 @@ _BLINK_WORLDS_MAX = 8
 
 
 def warm_start_enabled() -> bool:
-    """Whether run_blink may reuse (reset) a cached world."""
-    value = os.environ.get(WARM_START_ENV_VAR, "1").strip().lower()
-    return value not in _WARM_DISABLED
+    """Always ``True``: run_blink reuses (resets) a cached world whenever
+    the configuration is cacheable.  There is no switch; a cold world is
+    what :func:`clear_warm_worlds` leaves behind.  Kept for run
+    provenance records that report it."""
+    return True
 
 
 def clear_warm_worlds() -> None:
@@ -327,8 +322,8 @@ def _blink_world_key(node_id: int, node_kwargs: dict) -> Optional[tuple]:
 # -- batched execution ------------------------------------------------------
 
 #: The announced batch plan: the seeds of the points about to run, in
-#: order.  Set by :func:`blink_batch_plan` (the sweep's batched executor
-#: and :func:`run_batch` use it); consulted by :func:`run_blink`.
+#: order.  Set by :func:`blink_batch_plan` (the sweep's point runner
+#: uses it); consulted by :func:`run_blink`.
 _BATCH_PLAN: Optional[tuple[int, ...]] = None
 
 #: Configs already batch-simulated under the current plan (so a second
@@ -407,8 +402,7 @@ def _run_blink_batch(
     # earlier plan are dropped (a late request falls back serial).
     for pool_key in [k for k in _BATCH_POOL if k[0] == key]:
         del _BATCH_POOL[pool_key]
-    reuse = warm_start_enabled()
-    stock = _BATCH_WORLDS_BY_KEY.get(key, []) if reuse else []
+    stock = _BATCH_WORLDS_BY_KEY.get(key, [])
     worlds = []
     for seed in seeds:
         if stock:
@@ -437,12 +431,10 @@ def _run_blink_batch(
         _BATCH_POOL[(key, duration_ns, seed)] = (node, app, sim)
         while len(_BATCH_POOL) > _BATCH_POOL_MAX:
             _BATCH_POOL.popitem(last=False)
-    if reuse:
-        _BATCH_WORLDS_BY_KEY[key] = [
-            (sim, node) for sim, node in worlds]
-        _BATCH_WORLDS_BY_KEY.move_to_end(key)
-        while len(_BATCH_WORLDS_BY_KEY) > _BATCH_WORLDS_MAX_KEYS:
-            _BATCH_WORLDS_BY_KEY.popitem(last=False)
+    _BATCH_WORLDS_BY_KEY[key] = worlds
+    _BATCH_WORLDS_BY_KEY.move_to_end(key)
+    while len(_BATCH_WORLDS_BY_KEY) > _BATCH_WORLDS_MAX_KEYS:
+        _BATCH_WORLDS_BY_KEY.popitem(last=False)
 
 
 def run_blink(
@@ -453,41 +445,40 @@ def run_blink(
 ) -> tuple[QuantoNode, "BlinkApp", Simulator]:
     """The standard 48-second Blink run used by several experiments.
 
-    Warm start: with ``$REPRO_WARM_START`` unset (or truthy), the
-    simulator + node world for a given configuration is constructed once
-    per process and *reset* per ``(seed)`` instead of rebuilt — module
-    setup, hardware models, and registries are reused; all run state is
-    rewound.  Reset and rebuild are digest-for-digest equivalent
-    (``tests/test_warm_start.py``), so results are bit-identical either
-    way; a sweep worker just skips the per-point construction cost.
+    Warm start: the simulator + node world for a given configuration is
+    constructed once per process and *reset* per ``(seed)`` instead of
+    rebuilt — module setup, hardware models, and registries are reused;
+    all run state is rewound.  Reset and rebuild are digest-for-digest
+    equivalent (``tests/test_warm_start.py``), so results are
+    bit-identical either way; a sweep worker just skips the per-point
+    construction cost.  :func:`clear_warm_worlds` drops the cache, so
+    the next call constructs cold.
 
     Aliasing contract: a warm hit returns the *same* node/sim objects a
     previous same-configuration call returned, reset.  Capture whatever
-    you need from a run (bytes, maps, numbers) before calling run_blink
-    again with the same configuration — or disable warm start to hold
-    several live worlds side by side.
+    you need from a run (bytes, maps, numbers) before re-running the
+    same configuration.
     """
     from repro.apps.blink import BlinkApp
 
-    batch_key = _blink_world_key(node_id, node_kwargs)
-    if batch_key is not None:
-        pooled = _BATCH_POOL.pop((batch_key, duration_ns, seed), None)
+    key = _blink_world_key(node_id, node_kwargs)
+    if key is not None:
+        pooled = _BATCH_POOL.pop((key, duration_ns, seed), None)
         if pooled is not None:
             return pooled
         plan = _BATCH_PLAN
         if plan is not None and len(plan) > 1 and plan[0] == seed:
-            done_key = (batch_key, duration_ns)
+            done_key = (key, duration_ns)
             if done_key not in _BATCH_DONE:
                 _BATCH_DONE.add(done_key)
                 _run_blink_batch(plan, duration_ns, node_id,
-                                 node_kwargs, batch_key)
+                                 node_kwargs, key)
                 pooled = _BATCH_POOL.pop(
-                    (batch_key, duration_ns, seed), None)
+                    (key, duration_ns, seed), None)
                 if pooled is not None:
                     return pooled
 
     node = None
-    key = batch_key if warm_start_enabled() else None
     if key is not None:
         world = _BLINK_WORLDS.get(key)
         if world is not None:
@@ -508,35 +499,6 @@ def run_blink(
     node.boot(app.start)
     sim.run(until=duration_ns)
     return node, app, sim
-
-
-def run_batch(
-    exp_id: str,
-    seeds: Iterable[int],
-    overrides: Optional[dict[str, Any]] = None,
-    k: int = 8,
-) -> list[ExperimentResult]:
-    """Run one experiment over many seeds, K worlds per batch.
-
-    Seeds are chunked into groups of ``k``; within a chunk, experiments
-    that route through :func:`run_blink` simulate all their worlds
-    interleaved on one shared calendar queue and analyze their logs off
-    one fused decode.  Results are bit-identical to per-seed
-    :func:`run_experiment` calls (``tests/test_batched.py`` gates every
-    experiment's digests at several K) — batching only changes wall
-    time.  Experiments that never enter the blink path just run
-    serially, so ``run_batch`` is safe for any experiment id.
-    """
-    seeds = [int(seed) for seed in seeds]
-    k = max(1, int(k))
-    results = []
-    for start in range(0, len(seeds), k):
-        chunk = seeds[start:start + k]
-        with blink_batch_plan(chunk):
-            for seed in chunk:
-                results.append(
-                    run_experiment(exp_id, seed=seed, overrides=overrides))
-    return results
 
 
 def lanes_for(

@@ -124,7 +124,9 @@ def run(seed: int = 0) -> ExperimentResult:
         text="\n\n".join([table, diagnosis,
                           f"samples delivered to root: {len(received)}"]),
         data={
-            "stats": stats,
+            # String node ids keep the payload JSON-native, so the sweep
+            # cache can store it.
+            "stats": {str(node_id): row for node_id, row in stats.items()},
             "power_ratio": ratio,
             "delivered": len(received),
         },

@@ -100,7 +100,8 @@ def run(seed: int = 0) -> ExperimentResult:
             "const_ma": const_ma,
             "relative_error": rel_error,
             "uj_per_pulse": uj_per_pulse,
-            "measurements": measurements,
+            "measurements": [[list(indicators), mean_ma]
+                             for indicators, mean_ma in measurements],
         },
         comparisons=[
             ("LED0 (mA)", 2.50, estimates["LED0"]),

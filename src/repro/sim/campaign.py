@@ -58,18 +58,19 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 from repro.errors import CampaignError
 from repro.sim import faultinject
 from repro.sim.sweep import (
+    PointFailure,
     PointResult,
     PointSummary,
     SweepAggregator,
     SweepCache,
     SweepPoint,
     SweepResult,
-    _iter_points_batched,
     code_fingerprint,
     detect_jobs,
     expand_grid,
     merge_sweeps,
     resolve_batch,
+    run_chunk,
     shard_points,
 )
 
@@ -382,9 +383,10 @@ def run_worker(
     slice of the grid, verifies which of its points are already stored
     (same parse-and-digest check the runner uses, so a corrupt record
     is re-simulated, not trusted), and simulates the rest through the
-    batched executor, appending each result to the shared shard store
-    as it lands.  Exits nonzero if any append fails — a shard that
-    cannot persist its work must look dead to the runner, not done.
+    sweep's point runner (:func:`repro.sim.sweep.run_chunk`), appending
+    each result to the shared shard store as it lands.  Exits nonzero if
+    a point fails or any append fails — a shard that cannot finish and
+    persist its work must look dead to the runner, not done.
 
     Fault-injection sites (:mod:`repro.sim.faultinject`): ``pre-run``
     before the first point, ``pre-store`` before every append,
@@ -407,7 +409,12 @@ def run_worker(
         ) is None
     ]
     stored = 0
-    for result in _iter_points_batched(missing, resolve_batch(manifest.batch)):
+    for _, result in run_chunk(
+            list(enumerate(missing)), resolve_batch(manifest.batch)):
+        if isinstance(result, PointFailure):
+            raise CampaignError(
+                f"shard {shard_index}: [{result.point.describe()}] failed: "
+                f"{result.error}\n{result.worker_traceback}")
         faultinject.fire("pre-store", selector=shard_index)
         if not cache.store(result):
             raise CampaignError(

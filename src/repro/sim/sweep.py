@@ -67,6 +67,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import traceback
+from contextlib import nullcontext
 
 from repro.core.report import format_table
 from repro.errors import SweepError
@@ -376,12 +377,6 @@ def code_fingerprint() -> str:
     return _code_fingerprint_cache
 
 
-#: With this env var truthy, every store (not just the first per run)
-#: re-parses its JSON payload to prove the round-trip is lossless — the
-#: debug mode of the identity check below.
-CACHE_VERIFY_ENV_VAR = "REPRO_CACHE_VERIFY"
-
-
 class SweepCache:
     """Digest-keyed per-point result store under one directory.
 
@@ -395,11 +390,12 @@ class SweepCache:
     slows a campaign down, never kills or corrupts it).
 
     Round-trip identity: a cache hit must fold the same bytes a fresh
-    run would have.  ``json.dumps``/``loads`` is lossless for the JSON
-    types experiments report, so the expensive proof (re-parsing every
-    payload on store — O(payload) per point) runs **once per process**
-    as a canary; set ``$REPRO_CACHE_VERIFY=1`` to check every store
-    while debugging an experiment that emits exotic payloads.
+    run would have.  Experiments build their ``data`` JSON-native (no
+    tuples, no non-string keys), so the expensive proof — re-parsing a
+    payload on store, O(payload) — runs on the **first store of each
+    experiment per process**.  An experiment whose payload does not
+    survive the round-trip is never stored (every point runs fresh) and
+    stays unverified, so each of its stores re-checks.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -458,27 +454,33 @@ class SweepCache:
         except (ValueError, KeyError, TypeError):
             return None
 
-    _roundtrip_verified = False  # class-wide once-per-process canary
+    #: Experiments whose payload round-trip was proven this process.
+    _roundtrip_verified: set[str] = set()
 
-    def store(self, result: PointResult) -> bool:
-        payload = {
+    @staticmethod
+    def payload(result: PointResult) -> dict[str, Any]:
+        """The JSON document one stored point is written as."""
+        return {
             "describe": result.point.describe(),
             "data": result.data,
             "comparisons": [list(c) for c in result.comparisons],
             "digest": result.digest,
             "wall_s": result.wall_s,
         }
+
+    def store(self, result: PointResult) -> bool:
+        payload = self.payload(result)
         try:
             text = json.dumps(payload)
         except (TypeError, ValueError):
             return False  # non-JSON payload: run it fresh every time
-        if not SweepCache._roundtrip_verified \
-                or os.environ.get(CACHE_VERIFY_ENV_VAR):
+        exp_id = result.point.exp_id
+        if exp_id not in SweepCache._roundtrip_verified:
             if json.loads(text) != payload:
                 # Lossy round-trip would break hit/miss identity.
                 return False
-            SweepCache._roundtrip_verified = True
-        return self._store_for(result.point.exp_id).store(
+            SweepCache._roundtrip_verified.add(exp_id)
+        return self._store_for(exp_id).store(
             self._raw_key(result.point), text.encode("utf-8"))
 
 
@@ -603,107 +605,10 @@ class PointFailure:
     worker_traceback: str = ""
 
 
-#: In-process retry budget for a point whose worker failed (exception or
-#: death).  Override with ``$REPRO_SWEEP_POINT_RETRIES``.
-DEFAULT_POINT_RETRIES = 2
-
-POINT_RETRIES_ENV_VAR = "REPRO_SWEEP_POINT_RETRIES"
-
-
-def _point_retries() -> int:
-    raw = os.environ.get(POINT_RETRIES_ENV_VAR, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise SweepError(
-                f"${POINT_RETRIES_ENV_VAR} must be an integer, got {raw!r}")
-    return DEFAULT_POINT_RETRIES
-
-
-def _run_point_fresh(point: SweepPoint) -> PointResult:
-    """One retry attempt with every world cache dropped and warm start
-    disabled: a point that failed in a worker must not inherit whatever
-    half-mutated world state the failure may have left behind."""
-    from repro.experiments.common import (
-        WARM_START_ENV_VAR, clear_batch_worlds, clear_warm_worlds,
-    )
-
-    previous = os.environ.get(WARM_START_ENV_VAR)
-    os.environ[WARM_START_ENV_VAR] = "0"
-    clear_warm_worlds()
-    clear_batch_worlds()
-    try:
-        return run_point(point)
-    finally:
-        if previous is None:
-            del os.environ[WARM_START_ENV_VAR]
-        else:
-            os.environ[WARM_START_ENV_VAR] = previous
-
-
-def _retry_failed_point(point: SweepPoint, first_error: str,
-                        worker_traceback: str = "") -> PointResult:
-    """Re-run a failed point in-process (fresh world each attempt); after
-    the retry budget, raise naming the point and every error seen."""
-    errors = [first_error]
-    for _attempt in range(_point_retries()):
-        try:
-            return _run_point_fresh(point)
-        except Exception as exc:  # noqa: BLE001 - the retry boundary
-            errors.append(f"{type(exc).__name__}: {exc}")
-    detail = "; then ".join(errors)
-    trace = f"\nworker traceback:\n{worker_traceback}" \
-        if worker_traceback else ""
-    raise SweepError(
-        f"grid point [{point.describe()}] of {point.exp_id} failed "
-        f"{len(errors)} times ({detail}){trace}"
-    )
-
-
-def _iter_points_guarded(
-    points: Sequence[SweepPoint], batch: int,
-) -> Iterator[PointResult]:
-    """The in-process executor with the same retry contract as the pool:
-    a point that raises is re-run on a fresh world up to the retry
-    budget, and only then aborts the sweep with its ``describe()``."""
-    position = 0
-    while position < len(points):
-        remaining = points[position:]
-        iterator = (_iter_points_batched(remaining, batch) if batch > 1
-                    else map(run_point, remaining))
-        try:
-            for result in iterator:
-                position += 1
-                yield result
-        except Exception as exc:  # noqa: BLE001 - the retry boundary
-            point = points[position]
-            yield _retry_failed_point(
-                point, f"{type(exc).__name__}: {exc}",
-                traceback.format_exc())
-            position += 1
-
-
-def _run_point_indexed(
-    item: tuple[int, SweepPoint],
-) -> tuple[int, Union[PointResult, PointFailure]]:
-    """Pool worker wrapper: tag each result with its grid index so the
-    parent can re-order ``imap_unordered`` output deterministically.
-    Exceptions become :class:`PointFailure` payloads — a worker must
-    never abort the shared stream."""
-    index, point = item
-    try:
-        return index, run_point(point)
-    except Exception as exc:  # noqa: BLE001 - serialized for the parent
-        return index, PointFailure(
-            point=point, error=f"{type(exc).__name__}: {exc}",
-            worker_traceback=traceback.format_exc())
-
-
-#: Default worlds-per-batch for the in-process executor.  K=8 amortizes
-#: per-point loop entry and decode without holding more than a handful
-#: of worlds live; override per campaign with ``batch=``/``--batch`` or
-#: process-wide with ``$REPRO_SWEEP_BATCH``.
+#: Default worlds-per-batch.  K=8 amortizes per-point loop entry and
+#: decode without holding more than a handful of worlds live; override
+#: per campaign with ``batch=``/``--batch`` or process-wide with
+#: ``$REPRO_SWEEP_BATCH``.
 DEFAULT_BATCH_K = 8
 
 BATCH_ENV_VAR = "REPRO_SWEEP_BATCH"
@@ -733,8 +638,9 @@ def _batch_plans(
     experiment, same overrides), chunk each group into runs of ``k``
     consecutive points, and give each chunk head the chunk's seed list.
     Non-heads get ``None`` — their worlds come from the pool the head's
-    batch filled.  Batching only changes wall time: every point's
-    digest is identical to its serial run (``tests/test_batched.py``).
+    batch filled — and so does every point when ``k`` is 1.  Batching
+    only changes wall time: every point's digest is identical to its
+    serial run (``tests/test_batched.py``).
     """
     plans: list[Optional[tuple[int, ...]]] = [None] * len(points)
     groups: dict[tuple, list[int]] = {}
@@ -750,45 +656,90 @@ def _batch_plans(
     return plans
 
 
-def _iter_points_batched(
-    points: Sequence[SweepPoint], k: int,
-) -> Iterator[PointResult]:
-    """The in-process batched executor: run the points in order, with
-    each chunk head announcing its chunk's seeds so ``run_blink``
-    simulates the whole chunk as one interleaved batch."""
-    plans = _batch_plans(points, k)
-    for point, plan in zip(points, plans):
-        if plan is not None:
-            with blink_batch_plan(plan):
-                yield run_point(point)
-        else:
-            yield run_point(point)
+def run_chunk(
+    pairs: Sequence[tuple[int, SweepPoint]], batch: int,
+) -> Iterator[tuple[int, Union[PointResult, PointFailure]]]:
+    """The one point runner: run index-tagged points in order, each
+    chunk head announcing its batch plan so ``run_blink`` simulates the
+    head's same-config siblings as one interleaved batch.
 
-
-def _run_chunk_batched(
-    item: tuple[list[tuple[int, SweepPoint]], int],
-) -> list[tuple[int, Union[PointResult, PointFailure]]]:
-    """Pool worker wrapper for batched dispatch: a worker receives a
-    whole chunk of index-tagged points and batches within it, so the
-    K-world amortization survives fan-out.  A point that raises becomes
-    a :class:`PointFailure` in place; the rest of the chunk still runs
-    (batch siblings of a failed head fall back to their serial path)."""
-    pairs, k = item
-    points = [point for _, point in pairs]
-    plans = _batch_plans(points, k)
-    out: list[tuple[int, Union[PointResult, PointFailure]]] = []
+    Every executor runs its points here — in-process sweeps, pool
+    workers (one chunk per task) and campaign workers.  A point that
+    raises becomes a :class:`PointFailure` in place and the rest of the
+    chunk still runs (batch siblings of a failed head fall back to
+    their serial path); the caller decides whether to retry or abort.
+    """
+    plans = _batch_plans([point for _, point in pairs], batch)
     for (index, point), plan in zip(pairs, plans):
         try:
-            if plan is not None:
-                with blink_batch_plan(plan):
-                    out.append((index, run_point(point)))
-            else:
-                out.append((index, run_point(point)))
-        except Exception as exc:  # noqa: BLE001 - serialized for the parent
-            out.append((index, PointFailure(
+            with blink_batch_plan(plan) if plan else nullcontext():
+                result = run_point(point)
+        except Exception as exc:  # noqa: BLE001 - handed to the caller
+            result = PointFailure(
                 point=point, error=f"{type(exc).__name__}: {exc}",
-                worker_traceback=traceback.format_exc())))
-    return out
+                worker_traceback=traceback.format_exc())
+        yield index, result
+
+
+def _run_chunk_list(
+    item: tuple[list[tuple[int, SweepPoint]], int],
+) -> list[tuple[int, Union[PointResult, PointFailure]]]:
+    """Pool task: one whole chunk, so the K-world batching survives
+    fan-out (module-level so it pickles)."""
+    return list(run_chunk(*item))
+
+
+#: In-process retry budget for a point whose worker failed (exception or
+#: death); every retry runs on a freshly constructed world.
+POINT_RETRIES = 2
+
+
+def _run_point_fresh(point: SweepPoint) -> PointResult:
+    """One retry attempt with every world cache dropped: a point that
+    failed must not inherit whatever half-mutated world state the
+    failure may have left behind, so its world is constructed cold."""
+    from repro.experiments.common import clear_batch_worlds, clear_warm_worlds
+
+    clear_warm_worlds()
+    clear_batch_worlds()
+    return run_point(point)
+
+
+def _retry_failed_point(point: SweepPoint, first_error: str,
+                        worker_traceback: str = "") -> PointResult:
+    """Re-run a failed point in-process (fresh world each attempt); after
+    the retry budget, raise naming the point and every error seen."""
+    errors = [first_error]
+    for _attempt in range(POINT_RETRIES):
+        try:
+            return _run_point_fresh(point)
+        except Exception as exc:  # noqa: BLE001 - the retry boundary
+            errors.append(f"{type(exc).__name__}: {exc}")
+    detail = "; then ".join(errors)
+    trace = f"\nworker traceback:\n{worker_traceback}" \
+        if worker_traceback else ""
+    raise SweepError(
+        f"grid point [{point.describe()}] of {point.exp_id} failed "
+        f"{len(errors)} times ({detail}){trace}"
+    )
+
+
+def _settle(payload: Union[PointResult, PointFailure]) -> PointResult:
+    """A runner result, with a failure replaced by its in-process retry."""
+    if isinstance(payload, PointFailure):
+        return _retry_failed_point(
+            payload.point, payload.error, payload.worker_traceback)
+    return payload
+
+
+def _iter_points_guarded(
+    points: Sequence[SweepPoint], batch: int,
+) -> Iterator[PointResult]:
+    """The in-process executor with the same retry contract as the pool:
+    a point that raises is re-run on a fresh world up to the retry
+    budget, and only then aborts the sweep with its ``describe()``."""
+    for _, payload in run_chunk(list(enumerate(points)), batch):
+        yield _settle(payload)
 
 
 #: How long to block on the pool's result stream before checking the
@@ -837,37 +788,25 @@ def _robust_pool_stream(
     """
     done: set[int] = set()
 
-    def deliver(item):
-        pairs = item if isinstance(item, list) else [item]
-        for index, payload in pairs:
-            if isinstance(payload, PointFailure):
-                payload = _retry_failed_point(
-                    payload.point, payload.error, payload.worker_traceback)
+    def deliver(chunk):
+        for index, payload in chunk:
             done.add(index)
-            yield index, payload
+            yield index, _settle(payload)
 
+    # Each task is a whole index-tagged chunk, so a worker can run its
+    # K-world batches; the flattened stream feeds the re-ordering buffer.
+    indexed = list(enumerate(misses))
+    chunks = [
+        (indexed[start:start + chunksize], batch)
+        for start in range(0, len(indexed), chunksize)
+    ]
     with context.Pool(processes=jobs, initializer=initializer,
                       initargs=initargs or ()) as pool:
-        if batch > 1:
-            # Batched dispatch ships whole chunks so each worker can
-            # run its K-world batches; the flattened index-tagged
-            # stream feeds the same re-ordering buffer.
-            indexed = list(enumerate(misses))
-            chunks = [
-                (indexed[start:start + chunksize], batch)
-                for start in range(0, len(indexed), chunksize)
-            ]
-            unordered = pool.imap_unordered(
-                _run_chunk_batched, chunks, chunksize=1)
-            expected = len(chunks)
-        else:
-            unordered = pool.imap_unordered(
-                _run_point_indexed, enumerate(misses), chunksize=chunksize)
-            expected = len(misses)
+        unordered = pool.imap_unordered(_run_chunk_list, chunks)
         baseline = _pool_pids(pool)
         received = 0
         broken = False
-        while received < expected:
+        while received < len(chunks):
             try:
                 item = unordered.next(timeout=_POOL_POLL_S)
             except StopIteration:
@@ -949,7 +888,8 @@ def _merge_in_grid_order(
     for index, point in enumerate(points):
         if hits[index]:
             result = cache.load(point)
-            yield result if result is not None else run_point(point)
+            yield result if result is not None \
+                else next(_iter_points_guarded([point], 1))
         else:
             yield next(fresh)
 
@@ -1180,23 +1120,3 @@ def numeric_leaves(data: Mapping[str, Any], prefix: str = "") -> dict[str, float
         elif isinstance(value, Mapping):
             leaves.update(numeric_leaves(value, prefix=f"{path}."))
     return leaves
-
-
-def aggregate_metrics(results: Sequence[PointResult]) -> list[MetricStats]:
-    """Mean/stddev/CI for every numeric leaf present in any point (the
-    batch wrapper over :class:`SweepAggregator`)."""
-    aggregator = SweepAggregator()
-    for result in results:
-        aggregator.fold(result)
-    return aggregator.metrics()
-
-
-def aggregate_comparisons(
-    results: Sequence[PointResult],
-) -> list[ComparisonStats]:
-    """Fleet means of the paper-vs-measured comparisons, in the order the
-    experiment reports them."""
-    aggregator = SweepAggregator()
-    for result in results:
-        aggregator.fold(result)
-    return aggregator.comparisons()

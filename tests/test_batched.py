@@ -6,8 +6,9 @@ batching is *invisible* in the results: every world's log, analysis, and
 rendered output is byte-identical to the same seed run serially.  These
 tests gate that contract at three levels:
 
-* every experiment's rendered digests under :func:`run_batch` at several
-  K against per-seed :func:`run_experiment` (the end-to-end gate);
+* every experiment's rendered digests through the sweep's point runner
+  (:func:`repro.sim.sweep.run_chunk`) at several K against per-seed
+  :func:`run_experiment` (the end-to-end gate);
 * the fused decode against per-world solo decode on adversarial inputs
   (ragged world lengths, u32 wraparound straddling world boundaries);
 * the BatchSimulator itself: interleaving equivalence, attach/detach
@@ -30,15 +31,25 @@ from repro.core.logger import (
     decode_batch_records,
 )
 from repro.errors import SimulationError
-from repro.experiments.common import EXPERIMENT_IDS, run_batch, run_experiment
+from repro.experiments.common import EXPERIMENT_IDS, run_experiment
 from repro.sim.batch import WORLD_SEQ_STRIDE, BatchSimulator
 from repro.sim.engine import Simulator
+from repro.sim.sweep import PointResult, SweepPoint, run_chunk
 
 SEEDS = (0, 1, 2)
 
 
 def _digest(result) -> str:
     return hashlib.sha256(result.render().encode("utf-8")).hexdigest()
+
+
+def _batched_digests(exp_id, seeds, k) -> list[str]:
+    """Run ``seeds`` as one chunk through the sweep's point runner at
+    worlds-per-batch ``k``; every point must succeed."""
+    points = [SweepPoint(exp_id, seed) for seed in seeds]
+    results = [r for _, r in run_chunk(list(enumerate(points)), k)]
+    assert all(isinstance(r, PointResult) for r in results), results
+    return [r.digest for r in results]
 
 
 # -- end-to-end: every experiment, several K ------------------------------
@@ -61,11 +72,10 @@ def serial_digests():
 @pytest.mark.parametrize("k", [1, 2, 7])
 @pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
 def test_run_batch_matches_serial(exp_id, k, serial_digests):
-    """run_batch(K) reproduces every per-seed serial digest exactly —
-    for every experiment, including the ones that never enter the
-    batched blink path (they must pass through unchanged)."""
-    results = run_batch(exp_id, SEEDS, k=k)
-    assert [_digest(r) for r in results] == serial_digests(exp_id)
+    """The point runner at K reproduces every per-seed serial digest
+    exactly — for every experiment, including the ones that never enter
+    the batched blink path (they must pass through unchanged)."""
+    assert _batched_digests(exp_id, SEEDS, k) == serial_digests(exp_id)
 
 
 def test_full_width_batch_matches_serial():
@@ -73,8 +83,7 @@ def test_full_width_batch_matches_serial():
     shared queue actually interleaves seven worlds at once."""
     seeds = range(7)
     serial = [_digest(run_experiment("table3", seed=s)) for s in seeds]
-    batched = [_digest(r) for r in run_batch("table3", seeds, k=7)]
-    assert batched == serial
+    assert _batched_digests("table3", seeds, 7) == serial
 
 
 # -- fused decode vs solo decode ------------------------------------------

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import CampaignError, SweepError
-from repro.sim import faultinject
+from repro.sim import faultinject, sweep
 from repro.sim.campaign import (
     CampaignManifest,
     campaign_status,
@@ -357,7 +357,7 @@ def test_run_sweep_persistent_failure_names_the_point(monkeypatch):
     the point's describe() and the attempt count."""
     monkeypatch.setenv(faultinject.ENV_VAR, "raise@point")
     monkeypatch.setenv(faultinject.SELECT_ENV_VAR, "2")
-    monkeypatch.setenv("REPRO_SWEEP_POINT_RETRIES", "1")
+    monkeypatch.setattr(sweep, "POINT_RETRIES", 1)
     with pytest.raises(SweepError, match=r"seed=2.*failed 2 times"):
         run_sweep(EXP, SEEDS, OVERRIDES, jobs=1)
 

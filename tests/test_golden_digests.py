@@ -23,6 +23,10 @@ the instrumentation modules themselves, so its digest tracks the source
 tree, not runtime behaviour.  A PR that edits a counted module must
 regenerate table5's entry (and only that entry) — every *other* digest
 changing is a real behavioural divergence.
+
+Each experiment runs twice: first on worlds constructed cold (every
+world cache cleared), then again on the warm, reset worlds the first
+run left behind — reset ≡ rebuild, checked against the same golden.
 """
 
 import hashlib
@@ -35,7 +39,12 @@ import repro.tos.node as node_module
 from repro.core.accounting import ANALYSIS_BACKENDS, build_energy_map
 from repro.core.regression import group_intervals
 from repro.core.timeline import ColumnarTimeline
-from repro.experiments.common import EXPERIMENT_IDS, run_experiment
+from repro.experiments.common import (
+    EXPERIMENT_IDS,
+    clear_batch_worlds,
+    clear_warm_worlds,
+    run_experiment,
+)
 from timeline_views import assert_maps_identical
 
 GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
@@ -83,19 +92,23 @@ def test_golden_file_covers_every_experiment():
 @pytest.mark.parametrize("backend", ANALYSIS_BACKENDS)
 @pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
 def test_experiment_digest_matches_golden(exp_id, backend, monkeypatch):
-    """Every experiment must reproduce the pre-optimization digest.  The
+    """Every experiment must reproduce the pre-optimization digest, both
+    from cold world caches and on the warm (reset) worlds.  The
     ``streaming`` leg additionally re-prices every map and regression
     the experiment computes on the streaming reference — columnar ≡
     streaming, float bits and dict order, on every experiment."""
     if backend == "streaming":
         cross_check_engines(monkeypatch)
-    rendered = run_experiment(exp_id, seed=0).render()
-    digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
-    assert digest == GOLDEN[exp_id], (
-        f"{exp_id} [{backend}]: rendered output diverged from the "
-        f"pre-optimization reference "
-        f"(got {digest[:16]}, want {GOLDEN[exp_id][:16]})"
-    )
+    clear_warm_worlds()
+    clear_batch_worlds()
+    for start in ("cold", "warm"):
+        rendered = run_experiment(exp_id, seed=0).render()
+        digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+        assert digest == GOLDEN[exp_id], (
+            f"{exp_id} [{backend}, {start}]: rendered output diverged "
+            f"from the pre-optimization reference "
+            f"(got {digest[:16]}, want {GOLDEN[exp_id][:16]})"
+        )
 
 
 def test_cross_check_sees_node_analysis(monkeypatch):

@@ -9,9 +9,8 @@ from repro.errors import SweepError
 from repro.sim.sweep import (
     MetricStats,
     PointResult,
+    SweepAggregator,
     SweepPoint,
-    aggregate_comparisons,
-    aggregate_metrics,
     expand_grid,
     numeric_leaves,
     run_sweep,
@@ -74,6 +73,13 @@ def _synthetic_point(seed, value, nested):
     )
 
 
+def _folded(points) -> SweepAggregator:
+    aggregator = SweepAggregator()
+    for point in points:
+        aggregator.fold(point)
+    return aggregator
+
+
 def test_numeric_leaves_flatten_and_skip_non_numeric():
     leaves = numeric_leaves(
         {"a": 1, "b": {"c": 2.5, "d": "skip"}, "e": True, "f": [1, 2]})
@@ -83,7 +89,7 @@ def test_numeric_leaves_flatten_and_skip_non_numeric():
 def test_aggregate_metrics_mean_stddev_ci():
     points = [_synthetic_point(s, v, v * 2)
               for s, v in enumerate((4.0, 6.0, 8.0))]
-    stats = {m.name: m for m in aggregate_metrics(points)}
+    stats = {m.name: m for m in _folded(points).metrics()}
     scalar = stats["scalar"]
     assert scalar.n == 3
     assert scalar.mean == pytest.approx(6.0)
@@ -95,7 +101,7 @@ def test_aggregate_metrics_mean_stddev_ci():
 
 
 def test_aggregate_single_point_has_zero_spread():
-    stats = aggregate_metrics([_synthetic_point(0, 5.0, 1.0)])
+    stats = _folded([_synthetic_point(0, 5.0, 1.0)]).metrics()
     by_name = {m.name: m for m in stats}
     assert by_name["scalar"].stddev == 0.0
     assert by_name["scalar"].ci95 == 0.0
@@ -103,7 +109,7 @@ def test_aggregate_single_point_has_zero_spread():
 
 def test_aggregate_comparisons_keeps_experiment_order():
     points = [_synthetic_point(s, v, 0.0) for s, v in enumerate((9.0, 11.0))]
-    comps = aggregate_comparisons(points)
+    comps = _folded(points).comparisons()
     assert len(comps) == 1
     assert comps[0].name == "metric (mJ)"
     assert comps[0].paper == 10.0
@@ -146,20 +152,38 @@ def test_sweep_render_reports_stats_and_digests():
     assert result.digest() in text
 
 
+def _spy_batch_simulations(monkeypatch) -> list:
+    """Record every batch simulation ``run_blink`` starts.  A spy, not a
+    raising stub: a point that raises is retried unbatched, which would
+    hide the refusal."""
+    import repro.experiments.common as common
+
+    common.clear_batch_worlds()  # no pooled world may stand in for a batch
+    calls = []
+    simulate = common._run_blink_batch
+
+    def spy(seeds, *args):
+        calls.append(seeds)
+        return simulate(seeds, *args)
+
+    monkeypatch.setattr(common, "_run_blink_batch", spy)
+    return calls
+
+
 def test_explicit_batch_reaches_the_executor(monkeypatch):
     """``batch=1`` must run unbatched, not fall back to the default K."""
     import repro.sim.sweep as sweep_mod
 
     monkeypatch.delenv(sweep_mod.BATCH_ENV_VAR, raising=False)
+    calls = _spy_batch_simulations(monkeypatch)
     overrides = {"duration_ns": ["2000000000"]}
     batched = run_sweep("table3", [0, 1], overrides, jobs=1)
     assert batched.batch == sweep_mod.DEFAULT_BATCH_K
+    assert calls == [(0, 1)]
 
-    def refuse(points, k):
-        raise AssertionError(f"batched executor ran with k={k}")
-
-    monkeypatch.setattr(sweep_mod, "_iter_points_batched", refuse)
+    calls.clear()
     unbatched = run_sweep("table3", [0, 1], overrides, jobs=1, batch=1)
+    assert calls == []
     assert unbatched.batch == 1
     assert unbatched.digest() == batched.digest()
 
@@ -185,17 +209,13 @@ def test_cli_sweep_smoke(capsys):
 
 
 def test_cli_sweep_batch_one_runs_unbatched(capsys, monkeypatch):
-    import repro.sim.sweep as sweep_mod
-
-    def refuse(points, k):
-        raise AssertionError(f"batched executor ran with k={k}")
-
-    monkeypatch.setattr(sweep_mod, "_iter_points_batched", refuse)
+    calls = _spy_batch_simulations(monkeypatch)
     code = main([
         "sweep", "table3", "--seeds", "2", "--batch", "1",
         "--set", "duration_ns=2000000000",
     ])
     assert code == 0
+    assert calls == []
     assert "sweep digest" in capsys.readouterr().out
 
 

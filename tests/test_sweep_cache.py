@@ -1,15 +1,24 @@
 """The digest-keyed sweep cache and the streaming aggregation path."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 from repro.errors import SweepError
+from repro.experiments.common import EXPERIMENT_IDS
 from repro.sim import sweep as sweep_mod
 from repro.sim.sweep import (
+    PointResult,
     SweepCache,
     SweepPoint,
     code_fingerprint,
     expand_grid,
+    run_point,
     run_sweep,
 )
 from repro.units import seconds
@@ -217,3 +226,48 @@ def test_unwritable_cache_dir_does_not_kill_the_sweep(tmp_path):
     rerun = run_sweep("table3", [0], OVERRIDES, jobs=1, cache_dir=bogus)
     assert (rerun.cache_hits, rerun.simulated) == (0, 1)
     assert rerun.digest() == result.digest()
+
+
+@pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
+def test_point_payload_is_json_lossless(exp_id):
+    """Every experiment's stored payload survives ``json`` unchanged, so
+    a cache hit folds exactly what the fresh run would have."""
+    payload = SweepCache.payload(run_point(SweepPoint(exp_id, 0)))
+    assert json.loads(json.dumps(payload)) == payload
+
+
+def test_roundtrip_check_runs_per_experiment(tmp_path, monkeypatch):
+    """One experiment's verified round-trip must not wave through the
+    first (lossy) store of another."""
+    monkeypatch.setattr(SweepCache, "_roundtrip_verified", set())
+    cache = SweepCache(tmp_path)
+
+    def result(exp_id, data):
+        return PointResult(SweepPoint(exp_id, 0), data, [], "0" * 64, 0.0)
+
+    assert cache.store(result("table3", {"x": 1.0}))
+    assert not cache.store(result("table2", {"pairs": [(1, 2.0)]}))
+    assert not cache.has(SweepPoint("table2", 0))
+
+
+#: Run in a fresh interpreter: the round-trip check must not depend on
+#: which experiment happened to store first in the process.
+_TABLE2_RERUN = """
+import sys
+from repro.sim.sweep import run_sweep
+first = run_sweep("table2", [0, 1], cache_dir=sys.argv[1])
+second = run_sweep("table2", [0, 1], cache_dir=sys.argv[1])
+print(first.cache_hits, second.cache_hits, first.digest() == second.digest())
+"""
+
+
+def test_fresh_process_table2_rerun_hits_every_point(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TABLE2_RERUN, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "2", "True"]

@@ -129,7 +129,7 @@ def test_vtimer_activity_charged_for_dispatch(node, sim):
     assert vtimer_time > 0
 
 
-def test_blink_schedules_o_wakeups_not_o_ticks(monkeypatch):
+def test_blink_schedules_o_wakeups_not_o_ticks():
     """The timer subsystem multiplexes all virtual timers onto one
     compare arm per wakeup: a Blink run's engine event count must scale
     with *wakeups* (a few per LED toggle), never with the underlying
@@ -138,16 +138,14 @@ def test_blink_schedules_o_wakeups_not_o_ticks(monkeypatch):
     from repro.experiments.common import run_blink
     from repro.units import seconds
 
-    # Both worlds must stay live side by side: same-configuration calls
-    # share one warm world (the second run_blink would reset the first
-    # run's node/sim), so force cold constructions for this comparison.
-    monkeypatch.setenv("REPRO_WARM_START", "0")
-    node8, _, sim8 = run_blink(0, duration_ns=seconds(8))
-    node48, _, sim48 = run_blink(0, duration_ns=seconds(48))
+    # Same-configuration calls share one warm world (the second run_blink
+    # resets the first run's node/sim), so capture before re-running.
+    node, _, sim = run_blink(0, duration_ns=seconds(8))
+    events8, dispatches8 = sim.events_executed, node.vtimers.dispatches
+    node, _, sim = run_blink(0, duration_ns=seconds(48))
     # A 48 s Blink has ~48 timer wakeups; a handful of events each.
-    assert sim48.events_executed < 10 * 48
+    assert sim.events_executed < 10 * 48
     # Scaling is linear in wakeups (6x duration -> ~6x events), nowhere
     # near the 6 * 8e6 additional ticks a tick-driven scheduler would pay.
-    growth = sim48.events_executed - sim8.events_executed
-    assert growth < 10 * 40
-    assert node48.vtimers.dispatches == 6 * node8.vtimers.dispatches
+    assert sim.events_executed - events8 < 10 * 40
+    assert node.vtimers.dispatches == 6 * dispatches8

@@ -13,11 +13,9 @@ import hashlib
 import pytest
 
 from repro.experiments.common import (
-    WARM_START_ENV_VAR,
     clear_warm_worlds,
     run_blink,
     run_experiment,
-    warm_start_enabled,
 )
 from repro.units import seconds
 
@@ -39,21 +37,18 @@ def _digest(exp_id, seed, overrides):
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 
-@pytest.fixture
-def cold(monkeypatch):
-    """Force cold constructions (the reference behaviour)."""
-    monkeypatch.setenv(WARM_START_ENV_VAR, "0")
-    yield
+def _cold_digest(exp_id, seed, overrides):
+    """The reference: a run on freshly constructed worlds."""
+    clear_warm_worlds()
+    return _digest(exp_id, seed, overrides)
 
 
 @pytest.mark.parametrize("exp_id,overrides", WARM_EXPERIMENTS)
-def test_warm_reset_equals_cold_rebuild(exp_id, overrides, monkeypatch):
+def test_warm_reset_equals_cold_rebuild(exp_id, overrides):
     """The tentpole equivalence: for several seeds, a warm world reset
     per seed renders byte-identically to a cold rebuild per seed."""
     seeds = (0, 3, 11)
-    monkeypatch.setenv(WARM_START_ENV_VAR, "0")
-    cold_digests = [_digest(exp_id, s, overrides) for s in seeds]
-    monkeypatch.setenv(WARM_START_ENV_VAR, "1")
+    cold_digests = [_cold_digest(exp_id, s, overrides) for s in seeds]
     clear_warm_worlds()
     warm_digests = [_digest(exp_id, s, overrides) for s in seeds]
     assert warm_digests == cold_digests
@@ -61,44 +56,35 @@ def test_warm_reset_equals_cold_rebuild(exp_id, overrides, monkeypatch):
     assert _digest(exp_id, seeds[0], overrides) == cold_digests[0]
 
 
-def test_warm_reset_survives_config_interleaving(monkeypatch):
+def test_warm_reset_survives_config_interleaving():
     """Alternating configurations must not leak state between worlds
     (each configuration has its own cached world; both keep resetting)."""
     noisy = {"duration_ns": SHORT_NS, "device_variation": "0.05"}
     clean = {"duration_ns": SHORT_NS}
-    monkeypatch.setenv(WARM_START_ENV_VAR, "0")
     want = {
-        ("noisy", seed): _digest("table3", seed, noisy) for seed in (0, 1)
+        ("noisy", seed): _cold_digest("table3", seed, noisy)
+        for seed in (0, 1)
     } | {
-        ("clean", seed): _digest("table3", seed, clean) for seed in (0, 1)
+        ("clean", seed): _cold_digest("table3", seed, clean)
+        for seed in (0, 1)
     }
-    monkeypatch.setenv(WARM_START_ENV_VAR, "1")
     clear_warm_worlds()
     for seed in (0, 1, 0, 1):
         assert _digest("table3", seed, noisy) == want[("noisy", seed)]
         assert _digest("table3", seed, clean) == want[("clean", seed)]
 
 
-def test_warm_hit_reuses_the_world_object(monkeypatch):
+def test_warm_hit_reuses_the_world_object():
     """A same-configuration rerun hands back the same (reset) objects —
     the documented aliasing contract, and the proof construction was
-    actually skipped."""
-    monkeypatch.setenv(WARM_START_ENV_VAR, "1")  # even on the cold CI leg
+    actually skipped; clearing the cache constructs a new world."""
     clear_warm_worlds()
     node_a, _, sim_a = run_blink(0, duration_ns=seconds(2))
     node_b, _, sim_b = run_blink(1, duration_ns=seconds(2))
     assert node_a is node_b and sim_a is sim_b
-
-
-def test_warm_start_env_gate(monkeypatch):
-    monkeypatch.setenv(WARM_START_ENV_VAR, "0")
-    assert not warm_start_enabled()
     clear_warm_worlds()
-    node_a, _, _ = run_blink(0, duration_ns=seconds(2))
-    node_b, _, _ = run_blink(0, duration_ns=seconds(2))
-    assert node_a is not node_b
-    monkeypatch.setenv(WARM_START_ENV_VAR, "1")
-    assert warm_start_enabled()
+    node_c, _, _ = run_blink(0, duration_ns=seconds(2))
+    assert node_c is not node_a
 
 
 def test_uncacheable_configs_run_cold():

@@ -158,7 +158,7 @@ def _notable(result) -> str:
                 f"{data['monotone_pairs']}/7 adjacent PA settings; mean "
                 f"|error| {data['mean_err_pct']:.1f} %.")
     if result.exp_id == "ext_deployment":
-        sick = data["stats"][13]
+        sick = data["stats"]["13"]
         return (f"The node near the AP draws {data['power_ratio']:.2f}x "
                 f"its siblings' power with {sick['pxy_waste_mj']:.0f} mJ "
                 f"on the unbound receive proxy — the redwood-deployment "
