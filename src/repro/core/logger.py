@@ -463,50 +463,34 @@ class QuantoLogger:
             return cached[1]
         if self._packed_count == total and self._packed_cache is not None:
             return decode_columns(self._packed_cache)
-        records = np.empty(total, dtype=ENTRY_DTYPE)
-        if total:
-            # Fields were masked at record time, so the tuples fit the
-            # wire widths exactly; numpy casts them in bulk.
-            records[:] = self._dumped + self._buffer
-        return _unwrap_records(records)
+        return decode_batch_records(*_ring_records([self]))[0]
+
+
+#: Entries :func:`iter_entries` hands its decoder per slice: bounds the
+#: decoded-but-not-yet-yielded entries, whatever the log's length.
+_ITER_SLICE_ENTRIES = 16
 
 
 def iter_entries(raw: bytes):
     """Incrementally decode packed entries, unwrapping u32 time and iCount
     wrap-around.
 
-    A generator: each :class:`LogEntry` is yielded as soon as its 12 bytes
-    are parsed, so downstream consumers (the timeline stream, the energy
-    accumulator) can process a log without the whole decoded list ever
-    existing in memory.  The wrap-around unwrapping state is three
+    A generator: a :class:`WireDecoder` is fed the log one bounded slice
+    at a time and each :class:`LogEntry` is yielded as it comes out, so
+    downstream consumers (the timeline stream, the energy accumulator)
+    can process a log without the whole decoded list ever existing in
+    memory.  The wrap-around unwrapping state is the decoder's few
     integers — independent of log length.
     """
     if len(raw) % ENTRY_SIZE:
         raise LoggerError(
             f"log length {len(raw)} is not a multiple of {ENTRY_SIZE}"
         )
-    time_base = 0
-    last_time = 0
-    ic_base = 0
-    last_ic = 0
-    seq = 0
-    for entry_type, res_id, time_us, pulses, value in \
-            ENTRY_STRUCT.iter_unpack(raw):
-        if seq:
-            if time_us < last_time:
-                time_base += 1 << 32
-            if pulses < last_ic:
-                ic_base += 1 << 32
-        last_time, last_ic = time_us, pulses
-        yield LogEntry(
-            type=entry_type,
-            res_id=res_id,
-            time_us=time_base + time_us,
-            icount=ic_base + pulses,
-            value=value,
-            seq=seq,
-        )
-        seq += 1
+    decoder = WireDecoder()
+    view = memoryview(raw)
+    step = _ITER_SLICE_ENTRIES * ENTRY_SIZE
+    for start in range(0, len(view), step):
+        yield from decoder.feed(view[start:start + step])
 
 
 def decode_log(raw: bytes) -> list[LogEntry]:
@@ -517,15 +501,14 @@ def decode_log(raw: bytes) -> list[LogEntry]:
 
 class WireDecoder:
     """Incremental decoder for the 12-byte wire format arriving in
-    arbitrary chunk boundaries — the network-facing form of
-    :func:`iter_entries`.
+    arbitrary chunk boundaries — the module's one scalar u32 unwrap,
+    which :func:`iter_entries` drives over a whole buffer.
 
     A TCP stream (or any chunked transport) cuts the packed log wherever
     it likes: mid-entry, even mid-field.  :meth:`feed` buffers the
     partial tail of each chunk and carries the u32 time/iCount unwrap
     state across calls, so feeding a log in any split — one byte at a
-    time or all at once — yields exactly the entry sequence
-    :func:`iter_entries` yields for the whole buffer (same ``seq``
+    time or all at once — yields the same entry sequence (same ``seq``
     numbers, same unwrapped timestamps).  State between feeds is the
     sub-entry remainder (< 12 bytes) plus five integers, independent of
     how much has streamed through.
@@ -675,36 +658,14 @@ class LogColumns:
         )
 
 
-def _unwrap_records(records: np.ndarray) -> LogColumns:
-    """Unwrap u32 time/iCount wrap-around over a structured entry array
-    — the vectorized form of :func:`iter_entries`'s three-integer state:
-    a field wrapped wherever it decreases, so the cumulative wrap count
-    times 2^32 is the base to add."""
-    time_us = records["time"].astype(np.int64)
-    icount = records["ic"].astype(np.int64)
-    if len(records) > 1:
-        time_wraps = np.zeros(len(records), dtype=np.int64)
-        np.cumsum(np.diff(time_us) < 0, out=time_wraps[1:])
-        time_us = time_us + (time_wraps << 32)
-        ic_wraps = np.zeros(len(records), dtype=np.int64)
-        np.cumsum(np.diff(icount) < 0, out=ic_wraps[1:])
-        icount = icount + (ic_wraps << 32)
-    return LogColumns(
-        type=records["type"].copy(),
-        res_id=records["res_id"].copy(),
-        time_ns=time_us * 1000,
-        icount=icount,
-        value=records["value"].astype(np.int64),
-    )
-
-
 def decode_columns(raw: bytes) -> LogColumns:
     """Decode a packed log into :class:`LogColumns` in one shot."""
     if len(raw) % ENTRY_SIZE:
         raise LoggerError(
             f"log length {len(raw)} is not a multiple of {ENTRY_SIZE}"
         )
-    return _unwrap_records(np.frombuffer(raw, dtype=ENTRY_DTYPE))
+    records = np.frombuffer(raw, dtype=ENTRY_DTYPE)
+    return decode_batch_records(records, [len(records)])[0]
 
 
 def decode_batch_records(
@@ -712,15 +673,18 @@ def decode_batch_records(
 ) -> list[LogColumns]:
     """Decode K concatenated logs from one structured array in one fused
     pass: a single vectorized unwrap whose wrap state resets at every
-    world boundary, then per-world column slices.
+    world boundary, then per-world column slices.  The module's one
+    vectorized u32 unwrap; a single log is the one-world case.
 
     ``records`` holds the K logs back to back; ``counts[i]`` is world
-    i's entry count.  The unwrap computes the *global* cumulative wrap
-    count once, then subtracts each world's value at its first row —
-    which cancels every wrap flagged before (or at) that row, including
-    the spurious flag a ragged world boundary itself raises — so each
-    world's slice carries exactly the wrap bases its own serial decode
-    would, bit for bit.
+    i's entry count.  A field wrapped wherever it decreases, so the
+    cumulative wrap count times 2^32 is the base to add — the
+    vectorized form of :class:`WireDecoder`'s unwrap state.  The unwrap
+    computes the *global* cumulative wrap count once, then subtracts
+    each world's value at its first row — which cancels every wrap
+    flagged before (or at) that row, including the spurious flag a
+    ragged world boundary itself raises — so each world's slice carries
+    exactly the wrap bases its own serial decode would, bit for bit.
     """
     if sum(counts) != len(records):
         raise LoggerError(
@@ -734,12 +698,10 @@ def decode_batch_records(
         # An empty trailing world's start offset equals ``total``; clip
         # it — no row maps to an empty world, so the value is unused.
         starts = np.minimum(offsets[:-1], total - 1)
-        world_of_row = np.repeat(
-            np.arange(len(counts), dtype=np.int64), counts)
         for field in (time_us, icount):
             wraps = np.zeros(total, dtype=np.int64)
             np.cumsum(np.diff(field) < 0, out=wraps[1:])
-            wraps -= wraps[starts][world_of_row]
+            wraps -= np.repeat(wraps[starts], counts)
             field += wraps << 32
     type_col = records["type"].copy()
     res_col = records["res_id"].copy()
@@ -758,15 +720,12 @@ def decode_batch_records(
     return worlds
 
 
-def decode_batch(loggers: Sequence["QuantoLogger"]) -> list[LogColumns]:
-    """Fused decode of K loggers' raw-tuple rings.
-
-    Builds one structured array over the concatenated shipped+resident
-    tuples (no per-logger ``raw_bytes`` materialization), runs the
-    batched unwrap, and parks each logger's columns in its
-    ``_columns_cache`` so the analysis layer's ``columns()`` call is a
-    cache hit.  Returns the per-world columns in logger order.
-    """
+def _ring_records(
+    loggers: Sequence["QuantoLogger"],
+) -> tuple[np.ndarray, list[int]]:
+    """One structured array over K loggers' concatenated shipped+resident
+    raw tuples (no ``raw_bytes`` materialization), plus each logger's
+    entry count — the input of :func:`decode_batch_records`."""
     stores = [(lg._dumped, lg._buffer) for lg in loggers]
     counts = [len(d) + len(b) for d, b in stores]
     records = np.empty(sum(counts), dtype=ENTRY_DTYPE)
@@ -777,6 +736,18 @@ def decode_batch(loggers: Sequence["QuantoLogger"]) -> list[LogColumns]:
             # wire widths exactly; numpy casts them in bulk.
             records[offset:offset + count] = dumped + buffer
         offset += count
+    return records, counts
+
+
+def decode_batch(loggers: Sequence["QuantoLogger"]) -> list[LogColumns]:
+    """Fused decode of K loggers' raw-tuple rings.
+
+    Builds one structured array over the concatenated rings, runs the
+    batched unwrap, and parks each logger's columns in its
+    ``_columns_cache`` so the analysis layer's ``columns()`` call is a
+    cache hit.  Returns the per-world columns in logger order.
+    """
+    records, counts = _ring_records(loggers)
     worlds = decode_batch_records(records, counts)
     for logger, count, columns in zip(loggers, counts, worlds):
         logger._columns_cache = (count, columns)

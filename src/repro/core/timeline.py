@@ -258,11 +258,6 @@ class _SingleTracker:
     bound to the RX proxy bound to a remote activity ends up charged
     to the remote activity.
 
-    ``bind_horizon_ns`` optionally limits how far back a bind
-    reaches; useful when the same proxy has unrelated earlier
-    episodes that legitimately never resolved (e.g. LPL false
-    positives followed by a real reception).
-
     ``track_binds=False`` drops the unresolved-segment bookkeeping
     entirely: closed segments are emitted and forgotten, so memory is
     bounded by the one open segment.  ``bound_to`` is then never set —
@@ -271,21 +266,19 @@ class _SingleTracker:
     """
 
     __slots__ = ("res_id", "emit", "bump", "track_binds",
-                 "bind_horizon_ns", "_unresolved", "_open")
+                 "_unresolved", "_open")
 
     def __init__(
         self,
         res_id: int,
         emit: Callable[[ActivitySegment], None],
         track_binds: bool = True,
-        bind_horizon_ns: Optional[int] = None,
         bump: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.res_id = res_id
         self.emit = emit
         self.bump = bump
         self.track_binds = track_binds
-        self.bind_horizon_ns = bind_horizon_ns
         # Segments awaiting resolution, keyed by the label they are
         # currently attributed to (their own label, or a proxy they were
         # already bound to).
@@ -322,19 +315,11 @@ class _SingleTracker:
         if (entry.type == TYPE_ACT_BIND and previous is not None
                 and self.track_binds):
             pending = self._unresolved.pop(previous.label, [])
-            kept: list[ActivitySegment] = []
             for segment in pending:
-                if (self.bind_horizon_ns is not None
-                        and entry.time_ns - segment.t1_ns
-                        > self.bind_horizon_ns):
-                    continue  # stale episode: stays unbound
                 segment.bound_to = new_label
-                kept.append(segment)
             # Transitivity: these now follow the new label's fate.
-            if kept:
-                self._unresolved.setdefault(new_label, []).extend(kept)
-            if self.bump is not None:
-                self.bump(len(kept) - len(pending))
+            if pending:
+                self._unresolved.setdefault(new_label, []).extend(pending)
         self._open = ActivitySegment(
             res_id=self.res_id, t0_ns=entry.time_ns, t1_ns=entry.time_ns,
             label=new_label,
@@ -449,14 +434,12 @@ class TimelineStream:
         single_res_ids: Optional[Iterable[int]] = None,
         multi_res_ids: Optional[Iterable[int]] = None,
         track_binds: bool = True,
-        bind_horizon_ns: Optional[int] = None,
         on_interval: Optional[Callable[[PowerInterval], None]] = None,
         on_segment: Optional[Callable[[ActivitySegment], None]] = None,
         on_multi_segment: Optional[
             Callable[[MultiActivitySegment], None]] = None,
     ) -> None:
         self.track_binds = track_binds
-        self.bind_horizon_ns = bind_horizon_ns
         self.on_segment = on_segment or _ignore
         self.on_multi_segment = on_multi_segment or _ignore
         self._open_items = 0
@@ -485,7 +468,6 @@ class TimelineStream:
         return _SingleTracker(
             res_id, self.on_segment,
             track_binds=self.track_binds,
-            bind_horizon_ns=self.bind_horizon_ns,
             bump=self._bump,
         )
 
@@ -552,9 +534,6 @@ class TimelineStream:
             + sum(t.open_count() for t in self._multis.values())
         )
 
-    def single_tracker(self, res_id: int) -> Optional[_SingleTracker]:
-        return self._singles.get(res_id)
-
     def multi_tracker(self, res_id: int) -> Optional[_MultiTracker]:
         return self._multis.get(res_id)
 
@@ -619,8 +598,7 @@ class ColumnarTimeline:
     * single-device segments span consecutive change/bind records, with
       zero-length spans dropped and the trailing span closed at
       ``end_time_ns``; bind events resolve every unresolved segment of
-      the label they rebind, transitively, like :class:`_SingleTracker`
-      with an unbounded horizon;
+      the label they rebind, transitively, like :class:`_SingleTracker`;
     * multi-device spans carry interned ``frozenset`` label sets — the
       *same* interned objects per distinct set, so downstream iteration
       order matches the streaming path's.

@@ -267,19 +267,23 @@ def run_experiment(
     return result
 
 
-# -- warm-start world cache -------------------------------------------------
+# -- warm-start world stock -------------------------------------------------
 
-#: Constructed blink worlds, keyed by configuration signature.  A sweep
-#: worker revisits the same handful of configurations (one per override
-#: combo), so a small LRU holds the working set; each world's log buffer
-#: is cleared on reset, so an idle cached world costs one run's log.
-_BLINK_WORLDS: OrderedDict[tuple, tuple[Simulator, QuantoNode]] = \
+#: Idle blink worlds, ``(sim, node)`` lists keyed by configuration
+#: signature: one stock for serial runs and batches.  A sweep worker
+#: revisits a handful of configurations, so a small LRU over keys holds
+#: the working set; only the ``_STOCK_DEEP_KEYS`` most recent keep more
+#: than one world (a batch's K, plus one serial), so at most 8 + 2 × K
+#: worlds idle here.  A world waiting in ``_BATCH_POOL`` is not in the
+#: stock; it returns when its point pops it or the pool drops it.
+_WORLD_STOCK: OrderedDict[tuple, list[tuple[Simulator, QuantoNode]]] = \
     OrderedDict()
-_BLINK_WORLDS_MAX = 8
+_STOCK_MAX_KEYS = 8
+_STOCK_DEEP_KEYS = 2
 
 
 def warm_start_enabled() -> bool:
-    """Always ``True``: run_blink reuses (resets) a cached world whenever
+    """Always ``True``: run_blink reuses (resets) a stocked world whenever
     the configuration is cacheable.  There is no switch; a cold world is
     what :func:`clear_warm_worlds` leaves behind.  Kept for run
     provenance records that report it."""
@@ -287,10 +291,10 @@ def warm_start_enabled() -> bool:
 
 
 def clear_warm_worlds() -> None:
-    """Drop every cached world (tests use this to force cold paths) and
+    """Drop every idle world (tests use this to force cold paths) and
     release its memory now: a world is a web of reference cycles (node
     and callbacks), which only a full collection frees."""
-    _BLINK_WORLDS.clear()
+    _WORLD_STOCK.clear()
     gc.collect()
 
 
@@ -319,6 +323,40 @@ def _blink_world_key(node_id: int, node_kwargs: dict) -> Optional[tuple]:
     return (node_id, tuple(items))
 
 
+def _take_world(key: Optional[tuple], seed: int, node_id: int,
+                node_kwargs: dict) -> tuple[Simulator, QuantoNode]:
+    """A stocked world for ``key`` reset to ``seed``, or a freshly
+    constructed one when the stock has none (or ``key`` is None).
+    Reset and rebuild are digest-for-digest equivalent
+    (``tests/test_warm_start.py``)."""
+    stock = _WORLD_STOCK.get(key)
+    if stock:
+        sim, node = stock.pop()
+        node.reset(seed)
+        return sim, node
+    sim = Simulator()
+    node = QuantoNode(
+        sim, NodeConfig(node_id=node_id, **node_kwargs),
+        rng_factory=RngFactory(seed),
+    )
+    return sim, node
+
+
+def _restock(key: tuple, world: tuple[Simulator, QuantoNode]) -> None:
+    """Put a world back in the stock, marking ``key`` most recent, and
+    trim the stock to its bounds."""
+    stock = _WORLD_STOCK.get(key)
+    if stock is None:
+        stock = _WORLD_STOCK[key] = []
+    else:
+        _WORLD_STOCK.move_to_end(key)
+    stock.append(world)
+    while len(_WORLD_STOCK) > _STOCK_MAX_KEYS:
+        _WORLD_STOCK.popitem(last=False)
+    for shallow in list(_WORLD_STOCK.values())[:-_STOCK_DEEP_KEYS]:
+        del shallow[1:]
+
+
 # -- batched execution ------------------------------------------------------
 
 #: The announced batch plan: the seeds of the points about to run, in
@@ -335,12 +373,6 @@ _BATCH_DONE: set = set()
 #: -> (node, app, sim)``.  Entries are popped when their point runs.
 _BATCH_POOL: "OrderedDict[tuple, tuple]" = OrderedDict()
 _BATCH_POOL_MAX = 64
-
-#: World objects constructed for batching, per config key — the batch
-#: path's analogue of ``_BLINK_WORLDS``: reset and re-run chunk after
-#: chunk (warm start), never shared with the serial cache.
-_BATCH_WORLDS_BY_KEY: "OrderedDict[tuple, list]" = OrderedDict()
-_BATCH_WORLDS_MAX_KEYS = 2
 
 
 @contextmanager
@@ -368,12 +400,22 @@ def blink_batch_plan(seeds: Iterable[int]):
 
 
 def clear_batch_worlds() -> None:
-    """Drop pooled batch results and cached batch worlds (tests), and
-    collect them now, like :func:`clear_warm_worlds`."""
+    """Drop pooled batch results without restocking them (tests), and
+    collect them now, like :func:`clear_warm_worlds`; the two together
+    leave nothing warm."""
     _BATCH_POOL.clear()
-    _BATCH_WORLDS_BY_KEY.clear()
     _BATCH_DONE.clear()
     gc.collect()
+
+
+def _take_pooled(pool_key: tuple) -> Optional[tuple]:
+    """Take a finished batch world out of the pool — ``(node, app, sim)``,
+    or None — and return it to the stock."""
+    pooled = _BATCH_POOL.pop(pool_key, None)
+    if pooled is not None:
+        node, _app, sim = pooled
+        _restock(pool_key[0], (sim, node))
+    return pooled
 
 
 def _run_blink_batch(
@@ -386,10 +428,11 @@ def _run_blink_batch(
     """Simulate every planned seed for one configuration as a batch and
     pool the finished worlds.
 
-    The K worlds run interleaved on one shared calendar queue; each
-    world's schedule, rng streams, and log are bit-identical to its
-    serial run (``tests/test_batched.py`` gates this per experiment).
-    Afterwards the K logs are decoded in one fused pass
+    The K worlds come from the same stock as :func:`run_blink`'s, and
+    run interleaved on one shared calendar queue; each world's
+    schedule, rng streams, and log are bit-identical to its serial run
+    (``tests/test_batched.py`` gates this per experiment).  Afterwards
+    the K logs are decoded in one fused pass
     (:func:`repro.core.logger.decode_batch`), so each point's analysis
     starts from already-decoded columns without materializing
     ``raw_bytes``.
@@ -398,23 +441,12 @@ def _run_blink_batch(
     from repro.core.logger import decode_batch
     from repro.sim.batch import BatchSimulator
 
-    # Reclaim this config's worlds: pooled siblings from an abandoned
-    # earlier plan are dropped (a late request falls back serial).
+    # Pooled siblings from an abandoned earlier plan go back to the
+    # stock (a late request for one falls back serial).
     for pool_key in [k for k in _BATCH_POOL if k[0] == key]:
-        del _BATCH_POOL[pool_key]
-    stock = _BATCH_WORLDS_BY_KEY.get(key, [])
-    worlds = []
-    for seed in seeds:
-        if stock:
-            sim, node = stock.pop()
-            node.reset(seed)
-        else:
-            sim = Simulator()
-            node = QuantoNode(
-                sim, NodeConfig(node_id=node_id, **node_kwargs),
-                rng_factory=RngFactory(seed),
-            )
-        worlds.append((sim, node))
+        _take_pooled(pool_key)
+    worlds = [_take_world(key, seed, node_id, node_kwargs)
+              for seed in seeds]
     batch = BatchSimulator([sim for sim, _ in worlds])
     batch.attach()
     apps = []
@@ -430,11 +462,7 @@ def _run_blink_batch(
     for (sim, node), app, seed in zip(worlds, apps, seeds):
         _BATCH_POOL[(key, duration_ns, seed)] = (node, app, sim)
         while len(_BATCH_POOL) > _BATCH_POOL_MAX:
-            _BATCH_POOL.popitem(last=False)
-    _BATCH_WORLDS_BY_KEY[key] = worlds
-    _BATCH_WORLDS_BY_KEY.move_to_end(key)
-    while len(_BATCH_WORLDS_BY_KEY) > _BATCH_WORLDS_MAX_KEYS:
-        _BATCH_WORLDS_BY_KEY.popitem(last=False)
+            _take_pooled(next(iter(_BATCH_POOL)))
 
 
 def run_blink(
@@ -446,13 +474,14 @@ def run_blink(
     """The standard 48-second Blink run used by several experiments.
 
     Warm start: the simulator + node world for a given configuration is
-    constructed once per process and *reset* per ``(seed)`` instead of
+    taken from the world stock and *reset* per ``(seed)`` instead of
     rebuilt — module setup, hardware models, and registries are reused;
     all run state is rewound.  Reset and rebuild are digest-for-digest
     equivalent (``tests/test_warm_start.py``), so results are
     bit-identical either way; a sweep worker just skips the per-point
-    construction cost.  :func:`clear_warm_worlds` drops the cache, so
-    the next call constructs cold.
+    construction cost.  Serial runs and batches share the stock, and
+    :func:`clear_warm_worlds` empties it, so the next call constructs
+    cold.
 
     Aliasing contract: a warm hit returns the *same* node/sim objects a
     previous same-configuration call returned, reset.  Capture whatever
@@ -463,7 +492,7 @@ def run_blink(
 
     key = _blink_world_key(node_id, node_kwargs)
     if key is not None:
-        pooled = _BATCH_POOL.pop((key, duration_ns, seed), None)
+        pooled = _take_pooled((key, duration_ns, seed))
         if pooled is not None:
             return pooled
         plan = _BATCH_PLAN
@@ -473,28 +502,13 @@ def run_blink(
                 _BATCH_DONE.add(done_key)
                 _run_blink_batch(plan, duration_ns, node_id,
                                  node_kwargs, key)
-                pooled = _BATCH_POOL.pop(
-                    (key, duration_ns, seed), None)
+                pooled = _take_pooled((key, duration_ns, seed))
                 if pooled is not None:
                     return pooled
 
-    node = None
+    sim, node = _take_world(key, seed, node_id, node_kwargs)
     if key is not None:
-        world = _BLINK_WORLDS.get(key)
-        if world is not None:
-            sim, node = world
-            _BLINK_WORLDS.move_to_end(key)
-            node.reset(seed)
-    if node is None:
-        sim = Simulator()
-        node = QuantoNode(
-            sim, NodeConfig(node_id=node_id, **node_kwargs),
-            rng_factory=RngFactory(seed),
-        )
-        if key is not None:
-            _BLINK_WORLDS[key] = (sim, node)
-            while len(_BLINK_WORLDS) > _BLINK_WORLDS_MAX:
-                _BLINK_WORLDS.popitem(last=False)
+        _restock(key, (sim, node))
     app = BlinkApp()
     node.boot(app.start)
     sim.run(until=duration_ns)

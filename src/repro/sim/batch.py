@@ -4,9 +4,13 @@ A sweep point is a few milliseconds of work, so the per-point fixed
 costs — entering and leaving the event loop, per-world decode, pool
 dispatch — are real money at campaign scale.  :class:`BatchSimulator`
 runs K *independent* :class:`~repro.sim.engine.Simulator` worlds
-interleaved on a single shared calendar queue, amortizing the loop and
-letting the analysis layer decode all K logs in one fused pass
-(:func:`repro.core.logger.decode_batch`).
+interleaved on a single shared calendar queue, entering the event loop
+once for all K and letting the analysis layer decode all K logs in one
+fused pass (:func:`repro.core.logger.decode_batch`).  The batch has no
+event loop of its own: it splices the queues (``attach``/``detach``)
+and hands the K worlds to the engine's one drain loop
+(:func:`repro.sim.engine._drain`), for which a lone simulator is the
+one-world case.
 
 Correctness argument (the per-world runs are **bit-identical** to their
 serial counterparts, gated by ``tests/test_batched.py``):
@@ -39,11 +43,11 @@ further serial running) behave exactly as after a serial run.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heapify
 from typing import Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.sim.engine import NEAR_WINDOW_NS, Simulator
+from repro.sim.engine import NEAR_WINDOW_NS, Simulator, _drain
 
 #: Width of one world's private sequence-number range.  A 48-second run
 #: schedules a few hundred thousand events; 2^40 leaves six orders of
@@ -61,10 +65,6 @@ class BatchSimulator:
             raise SimulationError("duplicate world in batch")
         self._sims: tuple[Simulator, ...] = tuple(sims)
         self._attached = False
-        self._buckets: dict = {}
-        self._times: list = []
-        self._overflow: list = []
-        self._horizon = NEAR_WINDOW_NS
 
     # -- attach / detach -------------------------------------------------
 
@@ -80,22 +80,21 @@ class BatchSimulator:
         for sim in self._sims:
             if sim._running:
                 raise SimulationError("cannot attach a running simulator")
-            if getattr(sim, "_batch", None) is not None:
+            if sim._batch is not None:
                 raise SimulationError("simulator already in a batch")
             if sim._live or sim._buckets or sim._overflow:
                 raise SimulationError(
                     "cannot attach a simulator with queued events; "
                     "reset it first")
-        self._buckets = {}
-        self._times = []
-        self._overflow = []
-        self._horizon = NEAR_WINDOW_NS
+        buckets: dict = {}
+        times: list = []
+        overflow: list = []
         for index, sim in enumerate(self._sims):
-            sim._buckets = self._buckets
-            sim._times = self._times
-            sim._overflow = self._overflow
+            sim._buckets = buckets
+            sim._times = times
+            sim._overflow = overflow
             sim._seq = index * WORLD_SEQ_STRIDE
-            sim._horizon = self._horizon
+            sim._horizon = NEAR_WINDOW_NS
             sim._batch = self
         self._attached = True
 
@@ -110,13 +109,14 @@ class BatchSimulator:
         """
         if not self._attached:
             raise SimulationError("batch is not attached")
+        queue = self._sims[0]
         per_world: dict[int, list] = {id(sim): [] for sim in self._sims}
-        for bucket in self._buckets.values():
+        for bucket in queue._buckets.values():
             for event in bucket:
                 if event.alive:
                     per_world[id(event._sim)].append(
                         (event.time, event.seq, event))
-        for time_ns, seq, event in self._overflow:
+        for time_ns, seq, event in queue._overflow:
             if event.alive:
                 per_world[id(event._sim)].append((time_ns, seq, event))
         for sim in self._sims:
@@ -127,22 +127,14 @@ class BatchSimulator:
             sim._overflow = leftovers
             sim._horizon = NEAR_WINDOW_NS
             sim._batch = None
-        self._buckets = {}
-        self._times = []
-        self._overflow = []
         self._attached = False
 
     # -- execution -------------------------------------------------------
 
     def run(self, until: Optional[int] = None) -> None:
-        """Run all worlds' events in global ``(time, FIFO)`` order.
-
-        Mirrors :meth:`Simulator.run` (same fused peek/pop loop over the
-        calendar-queue/heap hybrid) with the single addition that each
-        fire first sets the owning world's clock.  At the end every
-        world's clock is advanced to ``until``, exactly as its own
-        ``run(until=...)`` would have done.
-        """
+        """Run all worlds' events in global ``(time, FIFO)`` order, then
+        advance every world's clock to ``until``, exactly as its own
+        ``run(until=...)`` would have done."""
         if not self._attached:
             raise SimulationError("batch is not attached")
         for sim in self._sims:
@@ -151,39 +143,8 @@ class BatchSimulator:
                     "simulator is already running (reentrant run)")
         for sim in self._sims:
             sim._running = True
-        times = self._times
-        buckets = self._buckets
         try:
-            while True:
-                if times:
-                    time_ns = times[0]
-                    bucket = buckets[time_ns]
-                    while bucket:
-                        event = bucket[0]
-                        if event.alive:
-                            break
-                        del bucket[0]
-                    if not bucket:
-                        heappop(times)
-                        del buckets[time_ns]
-                        continue
-                elif self._overflow:
-                    self._advance_horizon()
-                    continue
-                else:
-                    break
-                if until is not None and time_ns > until:
-                    break
-                del bucket[0]
-                if not bucket:
-                    heappop(times)
-                    del buckets[time_ns]
-                event._queued = False
-                world = event._sim
-                world._live -= 1
-                world._now = time_ns
-                world._events_executed += 1
-                event.fn(*event.args)
+            _drain(self._sims, until, None)
         finally:
             for sim in self._sims:
                 sim._running = False
@@ -191,23 +152,3 @@ class BatchSimulator:
             for sim in self._sims:
                 if until > sim._now:
                     sim._now = until
-
-    def _advance_horizon(self) -> None:
-        """Buckets are dry: advance the shared horizon past the overflow
-        head and migrate, then mirror the new horizon into every world
-        so their ``at()`` keeps a consistent bucket/overflow split."""
-        overflow = self._overflow
-        horizon = overflow[0][0] + NEAR_WINDOW_NS
-        buckets = self._buckets
-        times = self._times
-        while overflow and overflow[0][0] < horizon:
-            time_ns, _, event = heappop(overflow)
-            bucket = buckets.get(time_ns)
-            if bucket is None:
-                buckets[time_ns] = [event]
-                heappush(times, time_ns)
-            else:
-                bucket.append(event)
-        self._horizon = horizon
-        for sim in self._sims:
-            sim._horizon = horizon

@@ -21,6 +21,11 @@ case inside one CPU wakeup — cost one dict hit and a list append instead
 of an O(log n) sift, and cancelled events are dropped without ever
 touching the heap.
 
+One fused peek-and-pop loop, :func:`_drain`, drains the queue for
+:meth:`Simulator.run`, :meth:`Simulator.step` and
+:meth:`repro.sim.batch.BatchSimulator.run`; each fire sets the clock of
+the event's own world, so a lone simulator is a one-world batch.
+
 :class:`Event` objects are pure handles and are deliberately *never*
 recycled into a pool: a handle stays valid after its event fires, so
 ``cancel()`` on an already-popped event is always a safe no-op rather
@@ -31,7 +36,7 @@ allocations.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import SimulationError
 
@@ -157,65 +162,6 @@ class Simulator:
         queued for this instant (a 'soon' hook, used for deferred signals)."""
         return self.at(self._now, fn, *args)
 
-    # -- queue internals ------------------------------------------------
-
-    def _advance_horizon(self) -> None:
-        """The buckets are empty: move the horizon past the overflow head
-        and migrate everything inside the new window into buckets.
-
-        Migration pops the overflow in ``(time, seq)`` order and appends
-        into per-timestamp buckets, so migrated events keep their mutual
-        FIFO order; any event scheduled into those buckets afterwards
-        necessarily has a larger seq, so FIFO-within-timestamp holds
-        globally.  The horizon only ever moves forward.
-        """
-        overflow = self._overflow
-        horizon = overflow[0][0] + NEAR_WINDOW_NS
-        buckets = self._buckets
-        times = self._times
-        while overflow and overflow[0][0] < horizon:
-            time_ns, _, event = heappop(overflow)
-            bucket = buckets.get(time_ns)
-            if bucket is None:
-                buckets[time_ns] = [event]
-                heappush(times, time_ns)
-            else:
-                bucket.append(event)
-        self._horizon = horizon
-
-    def _peek(self) -> Optional[tuple[int, Event]]:
-        """The earliest live event, still queued — or None.  Dead events
-        and drained buckets are discarded on the way (the lazy half of
-        ``cancel``)."""
-        times = self._times
-        buckets = self._buckets
-        while True:
-            if times:
-                time_ns = times[0]
-                bucket = buckets[time_ns]
-                while bucket:
-                    event = bucket[0]
-                    if event.alive:
-                        return time_ns, event
-                    del bucket[0]
-                heappop(times)
-                del buckets[time_ns]
-                continue
-            if self._overflow:
-                self._advance_horizon()
-                continue
-            return None
-
-    def _pop(self, time_ns: int, event: Event) -> None:
-        """Remove the event :meth:`_peek` just returned (the bucket head)."""
-        bucket = self._buckets[time_ns]
-        del bucket[0]
-        if not bucket:
-            heappop(self._times)
-            del self._buckets[time_ns]
-        event._queued = False
-        self._live -= 1
-
     # -- execution -----------------------------------------------------
 
     def step(self) -> bool:
@@ -223,15 +169,7 @@ class Simulator:
         if self._batch is not None:
             raise SimulationError(
                 "simulator is attached to a batch; run the batch instead")
-        head = self._peek()
-        if head is None:
-            return False
-        time_ns, event = head
-        self._pop(time_ns, event)
-        self._now = time_ns
-        self._events_executed += 1
-        event.fn(*event.args)
-        return True
+        return _drain((self,), None, 1) == 1
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run events in order.
@@ -245,53 +183,19 @@ class Simulator:
         if self._batch is not None:
             raise SimulationError(
                 "simulator is attached to a batch; run the batch instead")
+        # A non-positive budget still fires one event before tripping.
+        limit = None if max_events is None else max(1, max_events)
         self._running = True
-        executed = 0
-        times = self._times
-        buckets = self._buckets
         try:
-            # The _peek/_pop pair, fused: one bucket lookup per event
-            # instead of two, with dead events and drained buckets
-            # discarded in place (the semantics of the two methods are
-            # unchanged — step() still uses them directly).
-            while True:
-                if times:
-                    time_ns = times[0]
-                    bucket = buckets[time_ns]
-                    while bucket:
-                        event = bucket[0]
-                        if event.alive:
-                            break
-                        del bucket[0]
-                    if not bucket:
-                        heappop(times)
-                        del buckets[time_ns]
-                        continue
-                elif self._overflow:
-                    self._advance_horizon()
-                    continue
-                else:
-                    break
-                if until is not None and time_ns > until:
-                    break
-                del bucket[0]
-                if not bucket:
-                    heappop(times)
-                    del buckets[time_ns]
-                event._queued = False
-                self._live -= 1
-                self._now = time_ns
-                self._events_executed += 1
-                event.fn(*event.args)
-                executed += 1
-                if max_events is not None and executed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} at t={self._now} ns"
-                    )
-            if until is not None and until > self._now:
-                self._now = until
+            executed = _drain((self,), until, limit)
         finally:
             self._running = False
+        if limit is not None and executed >= limit:
+            raise SimulationError(
+                f"exceeded max_events={max_events} at t={self._now} ns"
+            )
+        if until is not None and until > self._now:
+            self._now = until
 
     def pending(self) -> int:
         """Number of live events still queued.  O(1): a live counter is
@@ -332,3 +236,88 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator t={self._now} ns, {self.pending()} pending>"
+
+
+# -- the calendar-queue drain (shared with repro.sim.batch) ------------------
+
+
+def _advance_horizon(worlds: Sequence[Simulator]) -> None:
+    """The buckets are empty: move the horizon past the overflow head,
+    migrate everything inside the new window into buckets, and give
+    every world sharing the queue the new horizon (so their ``at()``
+    keeps a consistent bucket/overflow split).
+
+    Migration pops the overflow in ``(time, seq)`` order and appends
+    into per-timestamp buckets, so migrated events keep their mutual
+    FIFO order; any event scheduled into those buckets afterwards
+    necessarily has a larger seq, so FIFO-within-timestamp holds
+    globally.  The horizon only ever moves forward.
+    """
+    queue = worlds[0]
+    overflow = queue._overflow
+    horizon = overflow[0][0] + NEAR_WINDOW_NS
+    buckets = queue._buckets
+    times = queue._times
+    while overflow and overflow[0][0] < horizon:
+        time_ns, _, event = heappop(overflow)
+        bucket = buckets.get(time_ns)
+        if bucket is None:
+            buckets[time_ns] = [event]
+            heappush(times, time_ns)
+        else:
+            bucket.append(event)
+    for world in worlds:
+        world._horizon = horizon
+
+
+def _drain(worlds: Sequence[Simulator], until: Optional[int],
+           limit: Optional[int]) -> int:
+    """Fire the live events of the queue ``worlds`` share, in global
+    ``(time, FIFO)`` order, and return how many fired.
+
+    Stops when the queue is empty, when the next event lies beyond
+    ``until``, or once ``limit`` events have fired.  Each fire first
+    sets the clock of the world that scheduled the event
+    (``Event._sim``), so a lone simulator is just the one-world case of
+    a batch.  Dead events and drained buckets are discarded in place
+    (the lazy half of ``cancel``).
+    """
+    queue = worlds[0]
+    times = queue._times
+    buckets = queue._buckets
+    overflow = queue._overflow
+    executed = 0
+    while True:
+        if times:
+            time_ns = times[0]
+            bucket = buckets[time_ns]
+            while bucket:
+                event = bucket[0]
+                if event.alive:
+                    break
+                del bucket[0]
+            if not bucket:
+                heappop(times)
+                del buckets[time_ns]
+                continue
+        elif overflow:
+            _advance_horizon(worlds)
+            continue
+        else:
+            break
+        if until is not None and time_ns > until:
+            break
+        del bucket[0]
+        if not bucket:
+            heappop(times)
+            del buckets[time_ns]
+        event._queued = False
+        world = event._sim
+        world._live -= 1
+        world._now = time_ns
+        world._events_executed += 1
+        event.fn(*event.args)
+        executed += 1
+        if limit is not None and executed >= limit:
+            break
+    return executed

@@ -9,7 +9,8 @@ tests gate that contract at three levels:
 * every experiment's rendered digests through the sweep's point runner
   (:func:`repro.sim.sweep.run_chunk`) at several K against per-seed
   :func:`run_experiment` (the end-to-end gate);
-* the fused decode against per-world solo decode on adversarial inputs
+* the fused (vectorized) decode against each world's independent
+  scalar :func:`~repro.core.logger.decode_log` on adversarial inputs
   (ragged world lengths, u32 wraparound straddling world boundaries);
 * the BatchSimulator itself: interleaving equivalence, attach/detach
   guards, and leftover hand-back.
@@ -25,16 +26,26 @@ import random
 import numpy as np
 import pytest
 
+import repro.experiments.common as common
 from repro.core.logger import (
     ENTRY_DTYPE,
-    _unwrap_records,
     decode_batch_records,
+    decode_log,
 )
 from repro.errors import SimulationError
-from repro.experiments.common import EXPERIMENT_IDS, run_experiment
+from repro.experiments.common import (
+    EXPERIMENT_IDS,
+    blink_batch_plan,
+    clear_batch_worlds,
+    clear_warm_worlds,
+    run_blink,
+    run_experiment,
+)
+from repro.hw.platform import PlatformConfig
 from repro.sim.batch import WORLD_SEQ_STRIDE, BatchSimulator
 from repro.sim.engine import Simulator
 from repro.sim.sweep import PointResult, SweepPoint, run_chunk
+from repro.units import seconds
 
 SEEDS = (0, 1, 2)
 
@@ -86,6 +97,52 @@ def test_full_width_batch_matches_serial():
     assert _batched_digests("table3", seeds, 7) == serial
 
 
+def _world_digest(node, sim) -> str:
+    """One finished blink world: its log bytes and event count."""
+    digest = hashlib.sha256(node.logger.raw_bytes())
+    digest.update(str(sim.events_executed).encode())
+    return digest.hexdigest()
+
+
+def test_serial_run_between_pool_pops_keeps_siblings_intact():
+    """Serial runs and batches share one world stock.  A serial run of
+    the batched configuration, at a seed outside the plan, between the
+    batch head and its siblings' pops must take a stocked or new world,
+    never a pooled one: every sibling still matches its serial run."""
+    # Noise on, so every seed's world differs.
+    config = {"duration_ns": seconds(2), "platform": PlatformConfig(
+        device_variation=0.05, icount_jitter_pulses=1.0)}
+    plan = (10, 11, 12)
+    outsider = 99
+    clear_warm_worlds()
+    clear_batch_worlds()
+    want = {}
+    for seed in plan + (outsider,):
+        node, _app, sim = run_blink(seed, **config)
+        want[seed] = _world_digest(node, sim)
+    assert len(set(want.values())) == len(want)
+
+    got = {}
+    with blink_batch_plan(plan):
+        node, _app, sim = run_blink(plan[0], **config)
+        got[plan[0]] = _world_digest(node, sim)
+        pooled = {id(entry[0]) for entry in common._BATCH_POOL.values()}
+        assert len(pooled) == len(plan) - 1  # the siblings wait in the pool
+        stocked = {id(stocked_node)
+                   for worlds in common._WORLD_STOCK.values()
+                   for _, stocked_node in worlds}
+        assert not pooled & stocked
+        node, _app, sim = run_blink(outsider, **config)
+        assert id(node) not in pooled
+        got[outsider] = _world_digest(node, sim)
+        for seed in plan[1:]:
+            node, _app, sim = run_blink(seed, **config)
+            assert id(node) in pooled
+            got[seed] = _world_digest(node, sim)
+    assert got == want
+    assert not common._BATCH_POOL
+
+
 # -- fused decode vs solo decode ------------------------------------------
 
 
@@ -109,10 +166,11 @@ def _random_log(rng: random.Random, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("trial", range(20))
 def test_fused_decode_matches_solo(trial):
-    """decode_batch_records over ragged concatenated worlds ==
-    per-world _unwrap_records, bit for bit — including worlds whose
-    boundary rows look like a wrap (next world starts below the
-    previous world's last u32 value) and empty worlds anywhere."""
+    """decode_batch_records over ragged concatenated worlds == the
+    scalar decode_log of each world's own bytes, value for value —
+    including worlds whose boundary rows look like a wrap (next world
+    starts below the previous world's last u32 value) and empty worlds
+    anywhere."""
     rng = random.Random(0xBA7C4 + trial)
     counts = [rng.choice([0, 1, 2, rng.randrange(3, 40)])
               for _ in range(rng.randrange(1, 6))]
@@ -120,12 +178,11 @@ def test_fused_decode_matches_solo(trial):
     fused = decode_batch_records(np.concatenate(worlds), counts)
     assert len(fused) == len(worlds)
     for got, raw in zip(fused, worlds):
-        want = _unwrap_records(raw)
-        np.testing.assert_array_equal(got.type, want.type)
-        np.testing.assert_array_equal(got.res_id, want.res_id)
-        np.testing.assert_array_equal(got.time_ns, want.time_ns)
-        np.testing.assert_array_equal(got.icount, want.icount)
-        np.testing.assert_array_equal(got.value, want.value)
+        want = decode_log(raw.tobytes())
+        assert len(got) == len(want)
+        for name in ("type", "res_id", "time_ns", "icount", "value"):
+            assert getattr(got, name).tolist() == \
+                [getattr(entry, name) for entry in want], name
 
 
 def test_fused_decode_rejects_bad_counts():

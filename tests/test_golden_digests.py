@@ -19,10 +19,11 @@ platform's libm disagrees with the reference values; regenerate with
 ``PYTHONPATH=src python tools/regen_golden_digests.py``.
 
 One experiment is self-referential: ``table5`` counts source lines of
-the instrumentation modules themselves, so its digest tracks the source
-tree, not runtime behaviour.  A PR that edits a counted module must
-regenerate table5's entry (and only that entry) — every *other* digest
-changing is a real behavioural divergence.
+the instrumentation modules themselves.  Its digest is therefore taken
+on a pinned input, the synthetic module tree ``tests/table5_tree``
+(``test_table5.py`` checks its exact counts and the live tree's row
+shape), so editing a counted module never moves it.  Any digest
+changing — table5's included — is a real behavioural divergence.
 
 Each experiment runs twice: first on worlds constructed cold (every
 world cache cleared), then again on the warm, reset worlds the first
@@ -39,6 +40,7 @@ import repro.tos.node as node_module
 from repro.core.accounting import ANALYSIS_BACKENDS, build_energy_map
 from repro.core.regression import group_intervals
 from repro.core.timeline import ColumnarTimeline
+from repro.experiments import table5
 from repro.experiments.common import (
     EXPERIMENT_IDS,
     clear_batch_worlds,
@@ -49,6 +51,7 @@ from timeline_views import assert_maps_identical
 
 GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text("utf-8"))
+TABLE5_TREE = Path(__file__).parent / "table5_tree"
 
 
 def cross_check_engines(monkeypatch) -> dict:
@@ -99,6 +102,7 @@ def test_experiment_digest_matches_golden(exp_id, backend, monkeypatch):
     streaming, float bits and dict order, on every experiment."""
     if backend == "streaming":
         cross_check_engines(monkeypatch)
+    monkeypatch.setattr(table5, "_package_root", lambda: TABLE5_TREE)
     clear_warm_worlds()
     clear_batch_worlds()
     for start in ("cold", "warm"):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.batch import BatchSimulator
 from repro.sim.engine import NEAR_WINDOW_NS, Simulator
 
 
@@ -153,11 +154,9 @@ def test_float_time_cannot_truncate_into_the_past():
     assert event.time == 100
 
 
-def test_fifo_preserved_across_the_bucket_overflow_boundary():
+def _schedule_across_the_boundary(sim: Simulator) -> list:
     """Events for one timestamp scheduled on both sides of the near
-    horizon (some straight into a bucket, some migrated from the
-    overflow heap) must still run in scheduling order."""
-    sim = Simulator()
+    horizon; returns the list their firing order lands in."""
     far = 5 * NEAR_WINDOW_NS
     order = []
     sim.at(far, order.append, "overflow-first")   # beyond horizon
@@ -169,8 +168,32 @@ def test_fifo_preserved_across_the_bucket_overflow_boundary():
         sim.at(far, order.append, "bucket-third")
 
     sim.at(far - NEAR_WINDOW_NS // 2, reschedule_same_instant)
-    sim.run()
-    assert order == ["overflow-first", "overflow-second", "bucket-third"]
+    return order
+
+
+@pytest.mark.parametrize("drive", ["run", "step", "batch"])
+def test_fifo_preserved_across_the_bucket_overflow_boundary(drive):
+    """Events for one timestamp scheduled on both sides of the near
+    horizon (some straight into a bucket, some migrated from the
+    overflow heap) must still run in scheduling order — driven by
+    run(), one step() at a time, or in each of two worlds sharing one
+    queue (the migration and the horizon move are shared, the orders
+    are not)."""
+    sims = [Simulator() for _ in range(2 if drive == "batch" else 1)]
+    batch = BatchSimulator(sims)
+    if drive == "batch":
+        batch.attach()
+    orders = [_schedule_across_the_boundary(sim) for sim in sims]
+    if drive == "run":
+        sims[0].run()
+    elif drive == "step":
+        while sims[0].step():
+            pass
+    else:
+        batch.run()
+        batch.detach()
+    assert orders == [["overflow-first", "overflow-second",
+                       "bucket-third"]] * len(sims)
 
 
 def test_cancel_after_fire_is_safe_and_keeps_pending_exact():

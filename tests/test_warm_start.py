@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+import repro.experiments.common as common
 from repro.experiments.common import (
     clear_warm_worlds,
     run_blink,
@@ -85,6 +86,34 @@ def test_warm_hit_reuses_the_world_object():
     clear_warm_worlds()
     node_c, _, _ = run_blink(0, duration_ns=seconds(2))
     assert node_c is not node_a
+
+
+def test_world_stock_stays_within_its_bounds():
+    """Serial runs over many configurations plus batches on two of them:
+    at most eight configurations stay stocked, and only the two most
+    recent keep more than one world — never more than 8 + 2 × K worlds."""
+    k = 4
+    duration = seconds(1)
+    clear_warm_worlds()
+    common.clear_batch_worlds()
+    for node_id in range(1, 11):
+        run_blink(0, duration_ns=duration, node_id=node_id)
+    for node_id in (1, 2):
+        with common.blink_batch_plan(range(k)):
+            for seed in range(k):
+                run_blink(seed, duration_ns=duration, node_id=node_id)
+    stock = common._WORLD_STOCK
+    sizes = [len(worlds) for worlds in stock.values()]
+    assert len(stock) == 8
+    assert sizes[-2:] == [k, k]
+    assert all(size <= 1 for size in sizes[:-2])
+    assert sum(sizes) <= 8 + 2 * k
+    # The two batched configurations' worlds are reused, not rebuilt.
+    stocked = {id(node) for worlds in stock.values() for _, node in worlds}
+    with common.blink_batch_plan(range(k)):
+        for seed in range(k):
+            node, _, _ = run_blink(seed, duration_ns=duration, node_id=2)
+            assert id(node) in stocked
 
 
 def test_uncacheable_configs_run_cold():
