@@ -235,8 +235,7 @@ def bench_windowed(rounds: int = 20) -> dict:
             *args, stride_ns=stride_ns, retain=None, **windowed_kwargs)
         decoder = WireDecoder()
         for offset in range(0, len(raw), chunk):
-            for entry in decoder.feed(raw[offset:offset + chunk]):
-                accumulator.feed(entry)
+            accumulator.feed(decoder.feed(raw[offset:offset + chunk]))
         decoder.finish()
         accumulator.finish()
         return accumulator

@@ -16,12 +16,13 @@ into per-(component, activity) time and energy totals.  Policies:
   activities present (the paper's stated default policy; a proportional
   hook exists for experimentation).
 
-The accounting core is :class:`EnergyAccumulator`, a streaming consumer:
-it owns a :class:`~repro.core.timeline.TimelineStream`, folds every power
-interval into the :class:`EnergyMap` the moment the interval closes, and
-consumes activity segments as the intervals sweep past them — so the
-whole log → timeline → accounting pipeline runs in one pass with state
-bounded by the number of *open* spans, not the log length.
+The reference accounting is :class:`EnergyAccumulator`, a streaming
+consumer: it owns a :class:`~repro.core.timeline.TimelineStream`, folds
+every power interval into the :class:`EnergyMap` the moment the interval
+closes, and consumes activity segments as the intervals sweep past
+them — so the whole log → timeline → accounting pipeline runs in one
+pass, entry by entry, with state bounded by the number of *open* spans,
+not the log length.  Every other engine is held to it bit for bit.
 
 One policy is inherently retrospective: with ``fold_proxies=True`` a
 proxy segment's attribution can change arbitrarily late (a bind reaches
@@ -31,10 +32,13 @@ at :meth:`EnergyAccumulator.finish` — replayed in interval order, which
 keeps the result byte-identical to the batch computation.  The
 ``fold_proxies=False`` path needs no deferral and runs fully bounded.
 
-:func:`columnar_energy_map` is the offline engine: the same accounting
-on the column arrays of a :class:`~repro.core.timeline.ColumnarTimeline`,
-bit-identical to the accumulator by contract.  :func:`build_energy_map`
-prices a whole timeline on either engine.
+:func:`columnar_energy_map` is the engine analysis runs: the same
+accounting on the column arrays of a
+:class:`~repro.core.timeline.ColumnarTimeline`, bit-identical to the
+accumulator by contract.  :func:`build_energy_map` prices a whole
+timeline on either engine.  :class:`WindowedAccumulator` is the live
+engine (``repro serve``): the columnar kernels again, fed one chunk of
+a stream at a time and sliced into windows.
 
 The map also carries the metered total so callers can verify that the
 reconstruction matches the measurement (the paper reports 0.004 % for
@@ -58,6 +62,8 @@ from repro.core.timeline import (
     MultiActivitySegment,
     PowerInterval,
     TimelineStream,
+    _MultiColumns,
+    _SingleColumns,
 )
 from repro.errors import AnalysisBackendError, RegressionError, WindowingError
 
@@ -80,8 +86,7 @@ ANALYSIS_BACKENDS = ("streaming", "columnar")
 #: host; the gap grows with log size as the vectorized decode/cover
 #: amortizes) at bit-identical output — real money at sweep scale, where
 #: every grid point pays one full reconstruction.  The streaming
-#: implementation remains the reference and the live (``repro serve``)
-#: engine.
+#: implementation remains the reference.
 DEFAULT_ANALYSIS_BACKEND = "columnar"
 
 
@@ -783,33 +788,54 @@ def fold_windows(snapshots: Sequence[WindowSnapshot]) -> EnergyMap:
     )
 
 
-class WindowedAccumulator(EnergyAccumulator):
-    """Online accounting: the streaming accumulator, sliced into
-    tumbling windows as entries arrive.
+class WindowedAccumulator:
+    """Online accounting: a node's log priced chunk by chunk on the
+    columnar engine, sliced into tumbling windows as the rows arrive.
+
+    :meth:`feed` takes the stream's next chunk of decoded rows (a
+    :class:`~repro.core.logger.LogColumns`, e.g. one
+    :meth:`~repro.core.logger.WireDecoder.feed`).  The chunk is rebuilt
+    by :class:`~repro.core.timeline.ColumnarTimeline` behind the rows
+    that reopen what the previous chunk left open, and the power
+    intervals it closes are priced by the offline engine's kernel
+    (:func:`_fold_contributions`), covered by the closed segments that
+    overlap them plus each device's open span (its final extent reaches
+    past every interval closed so far).  Between chunks only this is
+    carried: the open interval and every device's open span (as rows),
+    the closed segments that still overlap an unpriced interval, the
+    deferred tail, and the cumulative per-key sums — O(devices),
+    independent of how much has streamed through.
 
     Time is divided into ``stride_ns``-wide strides anchored at
     ``origin_ns`` (default: the first power interval's start).  The
     accounting quantum is the power interval — an interval is charged to
     the stride containing its start, so strides partition the intervals
-    without splitting any (splitting would change the float-add order
-    and break the fold contract).  When the interval starts cross a
-    stride boundary the open window closes: a :class:`WindowSnapshot` is
-    appended to :attr:`windows` (a deque bounded by ``retain``) and
-    passed to ``on_window`` if given.  :meth:`finish` closes the last,
-    partial window; its snapshot absorbs the deferred tail re-cover and
-    carries the finished map's exact state.
+    without splitting any.  A window closes when the first interval of
+    a later stride closes: a :class:`WindowSnapshot` is appended to
+    :attr:`windows` (a deque bounded by ``retain``) and passed to
+    ``on_window`` if given; a long interval can leave empty strides
+    behind it, which still emit (zero-delta) snapshots so the sequence
+    is gap-free.  A snapshot's cumulative energy is the ordered
+    contribution stream's per-key ``np.cumsum`` at the closing interval
+    — the very running sums the per-entry streaming accumulator holds at
+    that moment — and its busy time counts the segments closed by rows
+    before that interval's closing row.  :meth:`finish` closes the last,
+    partial window; its snapshot absorbs the deferred tail and carries
+    the finished map's exact state, bit-identical to
+    :func:`build_energy_map`.
 
-    Memory stays bounded by the stream's open spans plus ``retain``
-    snapshots of the (component, activity) key set — independent of log
-    length, like the parent.
+    Intervals that end past ``end_time_ns`` are priced at
+    :meth:`finish`, once the segments they overlap have closed at the
+    window end (see :class:`EnergyAccumulator` for why), so the windows
+    they close do not include them.  Devices not declared up front are
+    inferred as their first records arrive, and charged
+    ``(untracked)`` for the intervals closed before that.
 
-    Windowing requires eager charging, so proxy folding (inherently
+    Windowing charges eagerly, so proxy folding (inherently
     retrospective — a bind can reattribute arbitrarily old segments) is
-    not supported; the parent is always constructed with
-    ``fold_proxies=False``.
-
-    Sliding windows are views, not extra state: :meth:`sliding` merges
-    the last ``width/stride`` retained snapshots.
+    not supported: labels are the painted ones.  Sliding windows are
+    views, not extra state: :meth:`sliding` merges the last
+    ``width/stride`` retained snapshots.
     """
 
     def __init__(
@@ -832,128 +858,495 @@ class WindowedAccumulator(EnergyAccumulator):
             raise WindowingError(
                 f"window stride must be positive, got {stride_ns}"
             )
-        super().__init__(
-            regression, registry, component_names, energy_per_pulse_j,
-            fold_proxies=False, idle_name=idle_name,
-            single_res_ids=single_res_ids, multi_res_ids=multi_res_ids,
-            end_time_ns=end_time_ns,
-        )
+        self.regression = regression
+        self.registry = registry
+        self.component_names = component_names
+        self.energy_per_pulse_j = energy_per_pulse_j
+        self.idle_name = idle_name
+        self.end_time_ns = end_time_ns
         self.stride_ns = int(stride_ns)
         self.on_window = on_window
+        self.map = EnergyMap()
         #: Closed windows, oldest first, bounded by ``retain`` (None
         #: retains everything — batch-replay use only).
         self.windows: deque[WindowSnapshot] = deque(maxlen=retain)
         #: Total windows closed (unlike ``len(windows)``, unaffected by
         #: the retention bound).
         self.windows_emitted = 0
+        self._single_ids = sorted(single_res_ids or ())
+        self._multi_ids = sorted(multi_res_ids or ())
+        # Devices with a power column: the only ones whose segments are
+        # kept for covers.
+        self._charged_ids = frozenset(
+            column.res_id
+            for column in (regression.columns if regression else ()))
+        self._plans: dict[tuple, list] = {}
+        self._label_names: dict[int, str] = {}
+        # The reconstruction's open state, as the rows that reopen it.
+        self._open_rows: Optional[LogColumns] = None
+        self._open_spans = 0
+        self._rows_seen = 0
+        # Inferred devices: the stream row at which each first appeared.
+        self._tracked_from: dict[int, int] = {}
+        # Closed segments of charged devices that may still cover an
+        # unpriced interval: res_id -> (t0, t1, labels) arrays, and
+        # res_id -> [(t0, t1, label set)] for multi devices.
+        self._retained: dict[int, tuple] = {}
+        self._retained_multi: dict[int, list] = {}
+        # Intervals past the window end, priced at finish:
+        # (t0, t1, closing row, state vector).
+        self._tail: list[tuple[int, int, int, tuple]] = []
+        self._tail_mode = False
+        # Busy time of closed segments: device key (res_id, +256 for a
+        # multi device) -> name -> ns, names in first-closed order.
+        self._time: dict[int, dict[str, int]] = {}
+        self._intervals_seen = 0
+        self._pulses_total = 0
+        self._span_t0_ns = 0
+        self._last_interval_t1_ns = 0
         self._window_origin = origin_ns
         self._window_index: Optional[int] = None
         self._prev_energy: dict[tuple[str, str], float] = {}
         self._prev_time: dict[tuple[str, str], int] = {}
         self._prev_intervals = 0
+        self._finished = False
 
-    # -- the stride clock ---------------------------------------------------
+    # -- feeding ------------------------------------------------------------
 
-    def _on_interval(self, interval: PowerInterval) -> None:
-        t0 = interval.t0_ns
-        if self._window_index is None:
-            if self._window_origin is None:
-                self._window_origin = t0
-            self._window_index = (t0 - self._window_origin) // self.stride_ns
+    def feed(self, columns: LogColumns) -> None:
+        """Account the stream's next rows (in log order)."""
+        if self._finished:
+            raise WindowingError("cannot feed a finished accumulator")
+        if not len(columns):
+            return
+        prefix = self._open_rows
+        rows = (columns if prefix is None
+                else LogColumns.concat((prefix, columns)))
+        timeline = ColumnarTimeline(
+            rows, single_res_ids=self._single_ids,
+            multi_res_ids=self._multi_ids, close=False)
+        self._account(timeline, len(rows) - len(columns), final=False)
+        self._open_rows = timeline.open_rows()
+        self._open_spans = (
+            (timeline.open_interval_t0_ns is not None)
+            + len(timeline.open_single_segments())
+            + len(timeline.open_multi_segments()))
+        self._rows_seen += len(columns)
+
+    def finish(self) -> EnergyMap:
+        """Close every open span at the window end, price what is left,
+        and return the completed map.  Idempotent: a second call returns
+        the same map without re-charging."""
+        if self._finished:
+            return self.map
+        rows = self._open_rows
+        if rows is None:
+            rows = decode_columns(b"")
+        timeline = ColumnarTimeline(
+            rows, end_time_ns=self.end_time_ns,
+            single_res_ids=self._single_ids, multi_res_ids=self._multi_ids)
+        if not self._intervals_seen and not len(timeline.interval_t0):
+            raise RegressionError("no power intervals to account")
+        self._account(timeline, len(rows), final=True)
+        self._finished = True
+        self._open_rows = None
+        self._open_spans = 0
+        self._retained.clear()
+        self._retained_multi.clear()
+        self._tail.clear()
+        self.map.time_ns = self._time_dict()
+        self.map.span_ns = self._last_interval_t1_ns - self._span_t0_ns
+        self.map.metered_energy_j = (
+            self._pulses_total * self.energy_per_pulse_j)
+        if self._window_index is not None:
+            self._close_final()
+        return self.map
+
+    def carried_items(self) -> int:
+        """Open spans, retained segments and deferred tail intervals:
+        the reconstruction state carried between chunks."""
+        return (self._open_spans
+                + sum(len(t0) for t0, _t1, _labels in self._retained.values())
+                + sum(len(spans) for spans in self._retained_multi.values())
+                + len(self._tail))
+
+    # -- one chunk ------------------------------------------------------------
+
+    def _plan(self, vector: tuple) -> list:
+        plan = self._plans.get(vector)
+        if plan is None:
+            plan = self._plans[vector] = _resolve_plans(
+                (vector,), self.regression, self.component_names)[0]
+        return plan
+
+    def _account(self, timeline: ColumnarTimeline, prefix: int,
+                 final: bool) -> None:
+        """Price the intervals ``timeline`` closed, emit the windows
+        they close, and fold the chunk into the carried state."""
+        t0 = timeline.interval_t0
+        t1 = timeline.interval_t1
+        count = len(t0)
+        base = self._rows_seen - prefix  # stream row of timeline row 0
+        for rid, row in timeline.inferred_from.items():
+            self._tracked_from.setdefault(rid, base + row)
+        if count and self.regression is None:
+            raise RegressionError(
+                "accounting needs a regression once power intervals exist"
+            )
+        rows = timeline.interval_rows + base
+        # Which intervals are priced now: all of them at finish (behind
+        # the deferred tail); otherwise those before the first one past
+        # the window end, from which on every interval defers.
+        priced = count
+        if not final and self._tail_mode:
+            priced = 0
+        elif not final and self.end_time_ns is not None:
+            late = np.flatnonzero(t1 > self.end_time_ns)
+            if len(late):
+                priced = int(late[0])
+                self._tail_mode = True
+        vectors = list(timeline.vectors)
+        vec_ids = timeline.interval_vec
+        if not final:
+            for j in range(priced, count):
+                self._tail.append((int(t0[j]), int(t1[j]), int(rows[j]),
+                                   vectors[vec_ids[j]]))
+            tail = []
         else:
+            tail = self._tail
+        if tail:
+            known = {vector: index for index, vector in enumerate(vectors)}
+            for *_times, vector in tail:
+                if vector not in known:
+                    known[vector] = len(vectors)
+                    vectors.append(vector)
+            tail_vec = [known[vector] for *_times, vector in tail]
+            p_t0 = np.concatenate(([s[0] for s in tail], t0))
+            p_t1 = np.concatenate(([s[1] for s in tail], t1))
+            p_rows = np.concatenate(([s[2] for s in tail], rows))
+            p_vec = np.concatenate((np.array(tail_vec, dtype=np.intp),
+                                    vec_ids))
+        else:
+            p_t0, p_t1 = t0[:priced], t1[:priced]
+            p_rows, p_vec = rows[:priced], vec_ids[:priced]
+        closed_single, closed_multi = self._closed_segments(timeline)
+        stream = None
+        if len(p_t0):
+            singles, multis, sets = self._cover_sources(
+                timeline, closed_single, closed_multi, int(p_t1.max()),
+                final)
+            stream = _fold_contributions(
+                p_t0, p_t1, p_vec, [self._plan(v) for v in vectors],
+                self.regression.const_power_w, singles, multis, sets,
+                _label_namer(self.registry, self._label_names),
+                fold_proxies=False, idle_name=self.idle_name,
+                name_of=self.registry.name_of,
+                interval_rows=p_rows, tracked_from=self._tracked_from)
+        # Windows closed by this call's intervals: (window index, the
+        # closing interval's position in the call).
+        closes: list[tuple[int, int]] = []
+        if count:
+            if self._window_index is None:
+                self._span_t0_ns = int(t0[0])
+                if self._window_origin is None:
+                    self._window_origin = int(t0[0])
+                self._window_index = \
+                    (int(t0[0]) - self._window_origin) // self.stride_ns
             index = (t0 - self._window_origin) // self.stride_ns
-            # Interval starts are monotone (intervals tile), so strides
-            # close in order; a long interval can leave empty strides
-            # behind it, which still emit (zero-delta) snapshots so the
-            # window sequence is gap-free.
-            while self._window_index < index:
-                self._close_window(final=False)
-        super()._on_interval(interval)
+            previous = np.concatenate(([self._window_index], index[:-1]))
+            for j in np.flatnonzero(index > previous).tolist():
+                closes.extend(
+                    (k, j) for k in range(int(previous[j]), int(index[j])))
+        # A window closed by interval j includes the contributions of
+        # the priced intervals before j — none in a finish call, which
+        # prices only the deferred tail and the trailing interval.
+        closing = [j for _k, j in closes]
+        if final or stream is None:
+            cut_at = [0] * len(closes)
+        else:
+            cut_at = np.searchsorted(stream.interval, closing).tolist()
+        keys, energy_at, present_at, recon_at = self._replay(stream, cut_at)
+        time_at = self._advance_time(
+            _busy_time(timeline, self.idle_name,
+                       _label_namer(self.registry, self._label_names),
+                       self.registry.name_of),
+            timeline.interval_rows[closing])
+        if closes:
+            pulses = np.cumsum(timeline.interval_pulses).tolist()
+            t1_list = t1.tolist()
+            for w, (k, j) in enumerate(closes):
+                self._emit(
+                    k, self._intervals_seen + j,
+                    dict(zip(keys[:present_at[w]], energy_at[w])),
+                    time_at[w], recon_at[w],
+                    self._pulses_total + (pulses[j - 1] if j else 0),
+                    t1_list[j - 1] if j else self._last_interval_t1_ns,
+                    final=False)
+        # Fold the whole call into the carried state.
+        energy = self.map.energy_j
+        for key, value in zip(keys, energy_at[-1]):
+            energy[key] = value
+        self.map.reconstructed_energy_j = recon_at[-1]
+        if count:
+            self._intervals_seen += count
+            self._pulses_total += int(timeline.interval_pulses.sum())
+            self._last_interval_t1_ns = int(t1[-1])
+        if not final:
+            # Keep the closed segments that overlap an interval not
+            # priced yet: the deferred tail, or the open one.
+            keep_from = (self._tail[0][0] if self._tail
+                         else timeline.open_interval_t0_ns)
+            if keep_from is None:
+                keep_from = -1
+            for rid, (seg_t0, seg_t1, labels) in closed_single.items():
+                live = seg_t1 > keep_from
+                self._retained[rid] = (seg_t0[live], seg_t1[live],
+                                       labels[live])
+            for rid, spans in closed_multi.items():
+                self._retained_multi[rid] = [
+                    span for span in spans if span[1] > keep_from]
 
-    def _fold_time(self) -> dict[tuple[str, str], int]:
-        """The cumulative busy-time breakdown from the live per-device
-        name→ns sums — the same device/name order the parent's finish
-        folds, so the final snapshot's dict matches it exactly.  Only
-        closed segments are included (an open span's label is charged
-        when it closes)."""
+    def _closed_segments(self, timeline: ColumnarTimeline):
+        """Per charged device, its retained closed segments followed by
+        the ones ``timeline`` closed: ``(t0, t1, labels)`` arrays for a
+        single-activity device, ``[(t0, t1, label set)]`` for a multi
+        one."""
+        singles: dict[int, tuple] = {}
+        for rid in timeline.single_device_ids():
+            if rid not in self._charged_ids:
+                continue
+            cols = timeline.single_columns(rid)
+            parts = (cols.t0, cols.t1,
+                     np.asarray(cols.labels, dtype=np.int64))
+            kept = self._retained.get(rid)
+            if kept is not None:
+                parts = tuple(np.concatenate(pair)
+                              for pair in zip(kept, parts))
+            singles[rid] = parts
+        multis: dict[int, list] = {}
+        sets = timeline.label_sets
+        for rid in timeline.multi_device_ids():
+            if rid not in self._charged_ids:
+                continue
+            cols = timeline.multi_columns(rid)
+            spans = list(self._retained_multi.get(rid, ()))
+            spans.extend(zip(cols.t0.tolist(), cols.t1.tolist(),
+                             (sets[s] for s in cols.set_ids)))
+            multis[rid] = spans
+        return singles, multis
+
+    def _cover_sources(self, timeline: ColumnarTimeline, closed_single,
+                       closed_multi, horizon: int, final: bool):
+        """The kernel's segment inputs: per charged device, every segment
+        that may cover an interval priced now — the closed ones and
+        (mid-stream) the open span, provisionally extended to
+        ``horizon``: its final extent reaches at least that far."""
+        singles: dict[int, _SingleColumns] = {}
+        open_single = {} if final else timeline.open_single_segments()
+        for rid, (t0, t1, labels) in closed_single.items():
+            opened = open_single.get(rid)
+            if opened is not None and opened[0] < horizon:
+                t0 = np.append(t0, opened[0])
+                t1 = np.append(t1, horizon)
+                labels = np.append(labels, opened[1])
+            singles[rid] = _SingleColumns(t0=t0, t1=t1, labels=labels,
+                                          bound=None, rows=None)
+        sets: list[frozenset] = []
+        multis: dict[int, _MultiColumns] = {}
+        open_multi = {} if final else timeline.open_multi_segments()
+        for rid, spans in closed_multi.items():
+            if rid in singles:
+                continue  # charged as the single device it first was
+            opened = open_multi.get(rid)
+            if opened is not None and opened[0] < horizon:
+                spans = spans + [(opened[0], horizon, opened[1])]
+            multis[rid] = _MultiColumns(
+                t0=np.array([span[0] for span in spans], dtype=np.int64),
+                t1=np.array([span[1] for span in spans], dtype=np.int64),
+                set_ids=list(range(len(sets), len(sets) + len(spans))),
+                rows=None)
+            sets.extend(span[2] for span in spans)
+        return singles, multis, sets
+
+    def _replay(self, stream, cuts: list[int]):
+        """Replay the priced contributions onto the carried sums.
+
+        Returns the key order (carried keys, then new ones in
+        first-occurrence order), each key's running sum at every cut
+        and at the end (one list per cut, plus the final one last), how
+        many keys exist at each cut (new keys appear in order, so the
+        keys present are always a prefix), and the reconstructed total
+        at each cut and at the end.  Each key's sums are one
+        ``np.cumsum`` over its contributions in stream order behind its
+        carried value (``0.0`` for a new key) — the left-to-right adds
+        the streaming accumulator performs.
+        """
+        energy = self.map.energy_j
+        keys = list(energy)
+        carried = len(keys)
+        total = self.map.reconstructed_energy_j
+        if stream is None or not len(stream.code):
+            values = list(energy.values())
+            return (keys, [values] * (len(cuts) + 1),
+                    [carried] * len(cuts), [total] * (len(cuts) + 1))
+        code = stream.code
+        contributions = stream.value
+        n = len(code)
+        order = np.argsort(code, kind="stable")
+        sorted_code = code[order]
+        first = np.concatenate(([True], sorted_code[1:] != sorted_code[:-1]))
+        starts = np.flatnonzero(first)
+        group = np.cumsum(first) - 1
+        group_keys = [stream.key(c) for c in sorted_code[starts].tolist()]
+        firsts = order[starts].tolist()
+        new = sorted((first_at, g) for g, (key, first_at) in
+                     enumerate(zip(group_keys, firsts)) if key not in energy)
+        keys.extend(group_keys[g] for _first, g in new)
+        row_of = {key: r for r, key in enumerate(keys)}
+        points = np.array(cuts + [n], dtype=np.int64)
+        # One row per key: its carried value, then its contributions in
+        # stream order; the row-wise cumsum is each key's running sum.
+        rank = np.arange(n) - starts[group]
+        padded = np.zeros((len(starts), int(rank.max()) + 2))
+        padded[:, 0] = [energy.get(key, 0.0) for key in group_keys]
+        padded[group, rank + 1] = contributions[order]
+        running = np.cumsum(padded, axis=1)
+        # How many of each key's contributions precede each point.
+        sorted_at = group * (n + 1) + order
+        before = np.searchsorted(
+            sorted_at, (np.arange(len(starts)) * (n + 1))[:, None]
+            + points[None, :]) - starts[:, None]
+        sums = np.empty((len(keys), len(points)))
+        sums[:carried] = np.array(list(energy.values()))[:, None]
+        sums[[row_of[key] for key in group_keys]] = np.take_along_axis(
+            running, before, axis=1)
+        new_firsts = [first_at for first_at, _g in new]
+        present = [carried + count for count in np.searchsorted(
+            new_firsts, cuts).tolist()] if cuts else []
+        recon = np.cumsum(np.concatenate(([total], contributions)))
+        return (keys, sums.T.tolist(), present, recon[points].tolist())
+
+    # -- windows ------------------------------------------------------------
+
+    def _advance_time(self, closed: "_ClosedTime", cut_rows) -> list[dict]:
+        """Carry the chunk's closed segments into the busy-time sums and
+        return the cumulative breakdown each cut row saw: the sums
+        carried in, plus the chunk's segments closed by earlier rows —
+        each folded in the finish order (devices sorted, single before
+        multi, names in first-closed order)."""
+        groups, totals, present = closed.cut(cut_rows)
+        group_of = {(dev, name): g for g, (dev, name) in enumerate(groups)}
+        slot_keys = []
+        slot_base = []
+        slot_group = []
+        slot_carried = []
+        for dev in sorted(set(self._time) | {dev for dev, _ in groups}):
+            res_id = dev & 0xFF
+            component = self.component_names.get(res_id, f"res{res_id}")
+            carried = self._time.get(dev, {})
+            names = list(carried)
+            names.extend(name for group_dev, name in groups
+                         if group_dev == dev and name not in carried)
+            for name in names:
+                slot_keys.append((component, name))
+                slot_base.append(carried.get(name, 0))
+                slot_group.append(group_of.get((dev, name), -1))
+                slot_carried.append(name in carried)
+        n_points = totals.shape[1]
+        base = np.array(slot_base, dtype=np.int64)[:, None]
+        group = np.array(slot_group, dtype=np.intp)
+        values = np.broadcast_to(base, (len(base), n_points)).copy()
+        shown = np.broadcast_to(np.array(slot_carried, dtype=bool)[:, None],
+                                (len(base), n_points)).copy()
+        tracked = group >= 0
+        values[tracked] += totals[group[tracked]]
+        shown[tracked] |= present[group[tracked]]
+        unique = len(set(slot_keys)) == len(slot_keys)
+        dicts = []
+        for column, mask in zip(values.T[:-1].tolist(),
+                                shown.T[:-1].tolist()):
+            if unique:
+                dicts.append({key: ns for key, ns, on in
+                              zip(slot_keys, column, mask) if on})
+                continue
+            merged: dict[tuple[str, str], int] = {}
+            for key, ns, on in zip(slot_keys, column, mask):
+                if on:
+                    merged[key] = merged.get(key, 0) + ns
+            dicts.append(merged)
+        # Carry the chunk's closed segments forward.
+        for (dev, name), total, on in zip(groups, totals[:, -1].tolist(),
+                                          present[:, -1].tolist()):
+            if on:
+                per_name = self._time.setdefault(dev, {})
+                per_name[name] = per_name.get(name, 0) + total
+        return dicts
+
+    def _time_dict(self) -> dict[tuple[str, str], int]:
+        """The cumulative busy-time breakdown of every segment closed
+        so far, in the finish order."""
         cumulative: dict[tuple[str, str], int] = {}
-        for res_id in sorted(self._time_single):
+        for dev in sorted(self._time):
+            res_id = dev & 0xFF
             component = self.component_names.get(res_id, f"res{res_id}")
-            for name, dt_ns in self._time_single[res_id].items():
+            for name, ns in self._time[dev].items():
                 key = (component, name)
-                cumulative[key] = cumulative.get(key, 0) + dt_ns
-        for res_id in sorted(self._time_multi):
-            component = self.component_names.get(res_id, f"res{res_id}")
-            for name, dt_ns in self._time_multi[res_id].items():
-                key = (component, name)
-                cumulative[key] = cumulative.get(key, 0) + dt_ns
+                cumulative[key] = cumulative.get(key, 0) + ns
         return cumulative
 
-    def _close_window(self, final: bool) -> None:
-        index = self._window_index
-        cumulative_energy = dict(self.map.energy_j)
-        # The finished map's own time fold is authoritative for the
-        # final window (it includes spans the stream just closed).
-        cumulative_time = (
-            dict(self.map.time_ns) if final else self._fold_time()
-        )
-        delta_energy: dict[tuple[str, str], float] = {}
+    def _emit(self, index: int, intervals_before: int,
+              cumulative_energy: dict, cumulative_time: dict,
+              reconstructed: float, pulses: int, last_t1_ns: int,
+              final: bool) -> None:
         previous = self._prev_energy
-        for key, value in cumulative_energy.items():
-            delta = value - previous.get(key, 0.0)
-            if delta != 0.0:
-                delta_energy[key] = delta
-        delta_time: dict[tuple[str, str], int] = {}
+        delta_energy = {key: delta for key, delta in (
+            (key, value - previous.get(key, 0.0))
+            for key, value in cumulative_energy.items()) if delta != 0.0}
         previous_t = self._prev_time
-        for key, value in cumulative_time.items():
-            delta = value - previous_t.get(key, 0)
-            if delta:
-                delta_time[key] = delta
+        delta_time = {key: delta for key, delta in (
+            (key, value - previous_t.get(key, 0))
+            for key, value in cumulative_time.items()) if delta}
         t0_ns = self._window_origin + index * self.stride_ns
-        t1_ns = (self._last_interval_t1_ns if final
-                 else t0_ns + self.stride_ns)
         snapshot = WindowSnapshot(
             index=index,
             t0_ns=t0_ns,
-            t1_ns=t1_ns,
-            intervals=self._intervals_seen - self._prev_intervals,
+            t1_ns=last_t1_ns if final else t0_ns + self.stride_ns,
+            intervals=intervals_before - self._prev_intervals,
             energy_j=delta_energy,
             time_ns=delta_time,
             cumulative_energy_j=cumulative_energy,
             cumulative_time_ns=cumulative_time,
-            reconstructed_energy_j=self.map.reconstructed_energy_j,
-            metered_energy_j=self._pulses_total * self.energy_per_pulse_j,
-            span_ns=self._last_interval_t1_ns - self._span_t0_ns,
+            reconstructed_energy_j=reconstructed,
+            metered_energy_j=pulses * self.energy_per_pulse_j,
+            span_ns=last_t1_ns - self._span_t0_ns,
             final=final,
         )
         self._prev_energy = cumulative_energy
         self._prev_time = cumulative_time
-        self._prev_intervals = self._intervals_seen
+        self._prev_intervals = intervals_before
         self._window_index = index + 1
         self.windows.append(snapshot)
         self.windows_emitted += 1
         if self.on_window is not None:
             self.on_window(snapshot)
 
-    def finish(self) -> EnergyMap:
-        if self._finished:
-            return self.map
-        super().finish()
-        if self._window_index is not None:
-            self._close_window(final=True)
-        return self.map
+    def _close_final(self) -> None:
+        self._emit(self._window_index, self._intervals_seen,
+                   dict(self.map.energy_j), dict(self.map.time_ns),
+                   self.map.reconstructed_energy_j, self._pulses_total,
+                   self._last_interval_t1_ns, final=True)
 
     # -- durability ---------------------------------------------------------
 
     def snapshot(self) -> bytes:
         """The accumulator's complete mid-stream state as one opaque
         blob (pickle).  Everything the fold contract depends on rides
-        along — open spans, interned state-vector sums, cumulative
-        per-key float sums, window origin/index, the retained snapshot
-        deque — so :meth:`restore` of this blob, fed the remaining
-        entries, produces windows and a final map **bit-identical** to
-        an uninterrupted accumulator (the crash-safety contract the
-        ingest server's checkpoints lean on).
+        along — the open rows, retained segments, deferred tail,
+        cumulative per-key float sums, window origin/index, the retained
+        snapshot deque — so :meth:`restore` of this blob, fed the
+        remaining rows, produces windows and a final map
+        **bit-identical** to an uninterrupted accumulator (the
+        crash-safety contract the ingest server's checkpoints lean on).
 
         ``on_window`` is deliberately not captured (server callbacks
         close over sockets); reattach one via :meth:`restore`.
@@ -992,7 +1385,7 @@ class WindowedAccumulator(EnergyAccumulator):
         values are the exact running sums; time covers closed segments."""
         return {
             "energy_j": dict(self.map.energy_j),
-            "time_ns": self._fold_time(),
+            "time_ns": self._time_dict(),
             "reconstructed_energy_j": self.map.reconstructed_energy_j,
             "metered_energy_j": (
                 self._pulses_total * self.energy_per_pulse_j
@@ -1039,6 +1432,105 @@ class WindowedAccumulator(EnergyAccumulator):
         }
 
 
+def _busy_time(timeline: ColumnarTimeline, idle_name: str, name_of_value,
+               name_of, fold_proxies: bool = False) -> "_ClosedTime":
+    """The busy time of every segment ``timeline`` closed (Table 3a):
+    per device and activity name, as the streaming trackers accumulate
+    it — a single-activity segment's span to its label (the bind target
+    when folding proxies), a multi-activity segment's span split equally
+    among its labels (idle when it has none)."""
+    names: list[str] = []
+    name_ids: dict[str, int] = {}
+
+    def intern(name: str) -> int:
+        nid = name_ids.get(name)
+        if nid is None:
+            nid = name_ids[name] = len(names)
+            names.append(name)
+        return nid
+
+    rids, t0, t1, labels, rows = timeline.single_segments()
+    if fold_proxies:
+        devices = [timeline.single_columns(rid)
+                   for rid in timeline.single_device_ids()]
+        labels = np.array([
+            label if bound is None else bound
+            for cols in devices
+            for label, bound in zip(cols.labels, cols.bound)],
+            dtype=np.int64)
+    uvals, uinv = np.unique(labels, return_inverse=True)
+    lut = np.array([intern(name_of_value(value)) for value in uvals.tolist()],
+                   dtype=np.int64)
+    devs = [rids]
+    nids = [lut[uinv]]
+    amounts = [t1 - t0]
+    closing = [rows]
+    for rid in timeline.multi_device_ids():
+        cols = timeline.multi_columns(rid)
+        m_nids, m_amounts, m_rows = [], [], []
+        for seg_t0, seg_t1, set_id, row in zip(
+                cols.t0.tolist(), cols.t1.tolist(), cols.set_ids,
+                cols.rows.tolist()):
+            labels = timeline.label_sets[set_id]
+            dt = seg_t1 - seg_t0
+            shares = ([(idle_name, dt)] if not labels else
+                      [(name_of(label), dt // len(labels))
+                       for label in labels])
+            for name, ns in shares:
+                m_nids.append(intern(name))
+                m_amounts.append(ns)
+                m_rows.append(row)
+        if m_nids:
+            devs.append(np.full(len(m_nids), 256 + rid, dtype=np.int64))
+            nids.append(np.array(m_nids, dtype=np.int64))
+            amounts.append(np.array(m_amounts, dtype=np.int64))
+            closing.append(np.array(m_rows, dtype=np.int64))
+    return _ClosedTime(np.concatenate(devs), np.concatenate(nids),
+                       np.concatenate(amounts), np.concatenate(closing),
+                       names)
+
+
+class _ClosedTime:
+    """One chunk's closed-segment busy time as flat rows — device key,
+    name id, ns, closing row — grouped per (device, name), the groups in
+    fold order (device, then first closed), cut at any row."""
+
+    def __init__(self, dev, nid, amount, rows, names) -> None:
+        key = dev * (len(names) + 1) + nid
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = sorted_key[1:] != sorted_key[:-1]
+        starts = np.flatnonzero(first)
+        firsts = order[starts]
+        rank = np.lexsort((firsts, dev[firsts]))
+        self.groups = [(group_dev, names[group_nid])
+                       for group_dev, group_nid in zip(
+                           dev[firsts][rank].tolist(),
+                           nid[firsts][rank].tolist())]
+        # Rows sorted by (group, closing row): one bisection per (group,
+        # cut) counts the group's segments closed before the cut, and
+        # integer running sums (exact) give their total.
+        self._span = int(rows.max()) + 2 if len(rows) else 1
+        self._sorted = (np.cumsum(first) - 1) * self._span + rows[order]
+        self._starts = starts[rank]
+        self._bases = rank * self._span
+        self._running = np.concatenate(([0], np.cumsum(amount[order])))
+
+    def cut(self, cut_rows):
+        """``(groups, totals, present)``: per group (rows) and cut row
+        (columns, then one more for all rows), the busy time of the
+        segments closed before the cut, and whether there are any."""
+        last = self._span - 1
+        points = np.minimum(np.append(np.asarray(cut_rows, dtype=np.int64),
+                                      last), last)
+        ends = np.searchsorted(self._sorted,
+                               self._bases[:, None] + points[None, :])
+        starts = self._starts[:, None]
+        totals = self._running[ends] - self._running[starts]
+        return self.groups, totals, ends > starts
+
+
 # -- columnar backend -------------------------------------------------------
 
 
@@ -1069,15 +1561,54 @@ def _ragged_cover(window_t0, window_t1, seg_t0, seg_t1):
     return offsets, seg_rows, overlaps
 
 
-def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
-                 label_name, name_of_value, fold_proxies, idle_name,
-                 name_of):
+class _Contributions:
+    """The ordered contribution stream of :func:`_fold_contributions`:
+    row ``k`` adds ``value[k]`` joules to key ``code[k]`` on behalf of
+    (caller-relative) interval ``interval[k]``, rows in exactly the order
+    the streaming accumulator performs its scalar adds."""
+
+    __slots__ = ("interval", "code", "value", "comps", "names")
+
+    def __init__(self, interval, code, value, comps, names) -> None:
+        self.interval = interval
+        self.code = code
+        self.value = value
+        self.comps = comps
+        self.names = names
+
+    @property
+    def span(self) -> int:
+        """Codes are ``component_id * span + name_id``."""
+        return len(self.names) + 1
+
+    def key(self, code: int) -> tuple[str, str]:
+        """The ``(component, activity)`` key of one code."""
+        cid, nid = divmod(code, self.span)
+        return _CONST_PAIR if cid == 0 else (self.comps[cid], self.names[nid])
+
+
+def _fold_contributions(interval_t0, interval_t1, interval_vec, plan_raw,
+                        const_power_w, singles, multis, label_sets,
+                        name_of_value, fold_proxies, idle_name, name_of,
+                        interval_rows=None, tracked_from=None):
     """The ordered fold, vectorized and fused: every charged device's
     per-interval work is flattened into ONE cover query and ONE
     grouping sort (charges separated by a per-charge time offset larger
     than any timestamp), producing a single
-    ``(interval, plan-position, within-charge-rank)``-keyed contribution
-    stream whose final scalar adds are replayed in reference order.
+    ``(interval, plan-position, within-charge-rank)``-ordered
+    contribution stream — the reference's scalar adds, in reference
+    order, ready for an ordered replay.
+
+    Inputs are explicit so one kernel serves the whole-log fold and the
+    chunked one: the intervals to charge (their state-vector ids index
+    ``plan_raw``), and per device the segments that may cover them —
+    ``singles``/``multis`` map ``res_id`` to
+    :class:`~repro.core.timeline.ColumnarTimeline` segment columns
+    (``multis`` set ids index ``label_sets``).  A charged device in
+    neither map is untracked.  ``tracked_from`` (``res_id`` → row, with
+    each interval's closing row in ``interval_rows``) charges a device
+    untracked for the intervals closed before it first appeared — the
+    streaming accumulator's view of a device it infers mid-log.
 
     Bit-identity with the streaming accumulator's per-interval charges
     (:func:`_charge_named`, :func:`_multi_shares`) rests on these facts,
@@ -1091,22 +1622,18 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
       Python's ``int/int`` does for magnitudes below 2**53;
     * ``joules * fraction`` is the same elementwise IEEE-754 multiply
       either way;
-    * per-key accumulation replays with ``np.cumsum`` — a strict
-      left-to-right accumulation, unlike ``np.sum``'s pairwise tree —
-      over each key's contributions gathered in stream order, and keys
-      are inserted in first-occurrence stream order, preserving dict
-      order.  The lone divergence from a fold that starts at literal
-      ``0.0`` is an all-negative-zero stream, which the reference
-      rounds to ``+0.0``; the ``== 0.0`` normalization below restores
-      exactly that.
-
-    Requires ``emap`` fresh (empty ``energy_j``, zero reconstructed
-    total), which :func:`columnar_energy_map` guarantees.
+    * the replay (:func:`_fold_totals`, or the windowed accumulator's
+      per-key ``np.cumsum``) accumulates each key's contributions
+      strictly left to right in stream order.
     """
-    vectors = timeline.vectors
-    n_vec = len(vectors)
-    interval_vec = timeline.interval_vec
-    n_intervals = len(dt_ns)
+    n_vec = len(plan_raw)
+    n_intervals = len(interval_t0)
+    # Vectorized energy products: duration and draw as elementwise
+    # multiplies — the identical IEEE-754 operations the streaming path
+    # performs one interval at a time.
+    dt_ns = interval_t1 - interval_t0
+    dt_s = dt_ns * 1e-9
+    const_arr = const_power_w * dt_s
     names: list = [None]          # id 0: the regression constant
     name_ids: dict[str, int] = {}
 
@@ -1144,12 +1671,12 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
     kind_arr = np.empty(n_charges, dtype=np.int64)
     charge_cols: list = [None] * n_charges
     for c, rid in enumerate(charged_ids):
-        single = timeline.single_columns(rid)
+        single = singles.get(rid)
         if single is not None:
             kind_arr[c] = KIND_SINGLE
             charge_cols[c] = single
             continue
-        multi = timeline.multi_columns(rid)
+        multi = multis.get(rid)
         if multi is not None:
             kind_arr[c] = KIND_MULTI
             charge_cols[c] = multi
@@ -1177,6 +1704,12 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
     pos_f = pos_mat[c_idx, vecs_f]
     dt_f = dt_ns[i_idx]
     kind_f = kind_arr[c_idx]
+    if tracked_from:
+        for rid, first_row in tracked_from.items():
+            c = charge_index.get(rid)
+            if c is not None:
+                kind_f[(c_idx == c)
+                       & (interval_rows[i_idx] < first_row)] = KIND_UNTRACKED
     # Stream columns: interval row, plan position (-1: const), rank
     # within the charge, component id, name id, joules.
     stream_i = [np.arange(n_intervals, dtype=np.int64)]
@@ -1191,12 +1724,13 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
         # Shift each charge into its own disjoint time band so one
         # sorted segment array (and one bisection pair) covers them
         # all; overlaps are time differences, unaffected by the shift.
-        span_ns = int(timeline.end_time_ns) + 1
-        if n_intervals:
-            span_ns = max(span_ns, int(timeline.interval_t1[-1]) + 1)
+        span_ns = int(interval_t1.max()) + 1
+        for c in range(n_charges):
+            if kind_arr[c] == KIND_SINGLE and len(charge_cols[c]):
+                span_ns = max(span_ns, int(charge_cols[c].t1[-1]) + 1)
         seg_t0_parts = []
         seg_t1_parts = []
-        seg_val_parts: list = []
+        seg_val_parts = []
         for c in range(n_charges):
             if kind_arr[c] != KIND_SINGLE:
                 continue
@@ -1205,17 +1739,18 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
             seg_t0_parts.append(single.t0 + shift)
             seg_t1_parts.append(single.t1 + shift)
             if fold_proxies:
-                seg_val_parts.extend(
+                seg_val_parts.append([
                     b if b is not None else label
-                    for label, b in zip(single.labels, single.bound))
+                    for label, b in zip(single.labels, single.bound)])
             else:
-                seg_val_parts.extend(single.labels)
+                seg_val_parts.append(single.labels)
         seg_t0_all = np.concatenate(seg_t0_parts)
         seg_t1_all = np.concatenate(seg_t1_parts)
         # A handful of distinct labels name hundreds of segments:
         # resolve the uniques, then translate by table lookup.
         uvals, uinv = np.unique(
-            np.asarray(seg_val_parts, dtype=np.int64),
+            np.concatenate([np.asarray(part, dtype=np.int64)
+                            for part in seg_val_parts]),
             return_inverse=True)
         nid_lut = np.fromiter(
             (nid_of_value(value) for value in uvals.tolist()),
@@ -1223,8 +1758,8 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
         seg_name_ids = nid_lut[uinv]
         shift_f = c_idx[single_rows] * span_ns
         offsets, seg_rows, overlaps = _ragged_cover(
-            timeline.interval_t0[i_idx[single_rows]] + shift_f,
-            timeline.interval_t1[i_idx[single_rows]] + shift_f,
+            interval_t0[i_idx[single_rows]] + shift_f,
+            interval_t1[i_idx[single_rows]] + shift_f,
             seg_t0_all, seg_t1_all)
         n_srows = len(single_rows)
         pair_row = np.repeat(
@@ -1302,19 +1837,18 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
         stream_v.append(joules_f[untracked_rows])
     # -- multi charges: the scalar share helper, per charge (rare) ---------
     if (kind_f == KIND_MULTI).any():
-        sets = timeline.label_sets
         for c in range(n_charges):
             if kind_arr[c] != KIND_MULTI:
                 continue
-            rows = np.nonzero(c_idx == c)[0]
+            rows = np.nonzero((c_idx == c) & (kind_f == KIND_MULTI))[0]
             if not len(rows):
                 continue
             multi = charge_cols[c]
             offsets, seg_rows, overlaps = _ragged_cover(
-                timeline.interval_t0[i_idx[rows]],
-                timeline.interval_t1[i_idx[rows]],
+                interval_t0[i_idx[rows]],
+                interval_t1[i_idx[rows]],
                 multi.t0, multi.t1)
-            seg_sets = [sets[s] for s in multi.set_ids]
+            seg_sets = [label_sets[s] for s in multi.set_ids]
             offs = offsets.tolist()
             srows = seg_rows.tolist()
             over = overlaps.tolist()
@@ -1350,7 +1884,7 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
                 stream_c.append(np.array(mc, dtype=np.int64))
                 stream_n.append(np.array(mn, dtype=np.int64))
                 stream_v.append(np.array(mv, dtype=np.float64))
-    # -- assemble and replay ----------------------------------------------
+    # -- assemble in reference order ---------------------------------------
     i_all = np.concatenate(stream_i)
     p_all = np.concatenate(stream_p)
     q_all = np.concatenate(stream_q)
@@ -1367,14 +1901,25 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
     span = len(names) + 1
     code = (np.concatenate(stream_c) * span
             + np.concatenate(stream_n))[order]
-    values = np.concatenate(stream_v)[order]
-    # Codes live in a small dense range (components x names), so the
-    # per-key totals come straight from one weighted bincount over the
-    # codes themselves (same in-order per-bin accumulation as the dict
-    # fold) and first-occurrence order from a reversed fancy assignment
-    # (last write wins == first occurrence) — no sort needed.
+    return _Contributions(i_all[order], code,
+                          np.concatenate(stream_v)[order], comps, names)
+
+
+def _fold_totals(emap: EnergyMap, stream: _Contributions) -> None:
+    """Replay a contribution stream into a fresh map: per-key totals in
+    first-occurrence key order, and the running reconstructed total.
+
+    Codes live in a small dense range (components x names), so the
+    per-key totals come straight from one weighted bincount over the
+    codes themselves — ``np.bincount`` accumulates each bin's weights
+    sequentially in array order starting from ``0.0``, exactly the
+    ``dict.get(key, 0.0) + x`` fold of the streaming accumulator — and
+    first-occurrence order from a reversed fancy assignment (last write
+    wins == first occurrence), no sort needed."""
+    code = stream.code
+    values = stream.value
     n_rows = len(code)
-    n_codes = len(comps) * span
+    n_codes = len(stream.comps) * stream.span
     first_row = np.full(n_codes, -1, dtype=np.int64)
     first_row[code[::-1]] = np.arange(n_rows - 1, -1, -1, dtype=np.int64)
     totals = np.bincount(code, weights=values, minlength=n_codes)
@@ -1382,12 +1927,48 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
     energy_j = emap.energy_j
     for c in present[np.argsort(first_row[present],
                                 kind="stable")].tolist():
-        cid, nid = divmod(c, span)
-        key = _CONST_PAIR if cid == 0 else (comps[cid], names[nid])
-        energy_j[key] = float(totals[c])
+        energy_j[stream.key(c)] = float(totals[c])
     emap.reconstructed_energy_j = float(np.bincount(
         np.zeros(n_rows, dtype=np.intp), weights=values,
         minlength=1)[0])
+
+
+def _resolve_plans(vectors, regression, component_names):
+    """Per-vector charge plans, exactly as the streaming accumulator
+    resolves them: the sorted ``(res_id, component, power_w)`` triples
+    of the ``(res_id, value)`` pairs that carry a power column, with
+    the display component name."""
+    column_power: dict[tuple[int, int], tuple[str, float]] = {}
+    for column in regression.columns:
+        column_power[(column.res_id, column.value)] = (
+            column.name, regression.power_w[column.name])
+    plans: list[list[tuple[int, str, float]]] = []
+    for vector in vectors:
+        resolved = []
+        for res_id, value in vector:
+            entry = column_power.get((res_id, value))
+            if entry is None:
+                continue  # baseline state of the sink: no marginal draw
+            column_name, power_w = entry
+            resolved.append((
+                res_id,
+                component_names.get(res_id, column_name),
+                power_w,
+            ))
+        plans.append(resolved)
+    return plans
+
+
+def _label_namer(registry: ActivityRegistry, cache: dict[int, str]):
+    """``value -> activity name`` for 16-bit label encodings, memoized
+    in ``cache``."""
+    def name_of_value(value: int) -> str:
+        name = cache.get(value)
+        if name is None:
+            name = cache[value] = registry.name_of(
+                ActivityLabel.decode(value))
+        return name
+    return name_of_value
 
 
 ColumnarSource = Union[bytes, bytearray, memoryview, LogColumns,
@@ -1449,44 +2030,8 @@ def columnar_energy_map(
         raise RegressionError(
             "accounting needs a regression once power intervals exist"
         )
-    column_power: dict[tuple[int, int], tuple[str, float]] = {}
-    for column in regression.columns:
-        column_power[(column.res_id, column.value)] = (
-            column.name, regression.power_w[column.name])
-    # Per-vector charge plans, exactly as the accumulator resolves them:
-    # the sorted (res_id, value) pairs that carry a power column, with
-    # the display component name.
-    vectors = timeline.vectors
-    plan_raw: list[list[tuple[int, str, float]]] = []
-    for vector in vectors:
-        resolved = []
-        for res_id, value in vector:
-            entry = column_power.get((res_id, value))
-            if entry is None:
-                continue  # baseline state of the sink: no marginal draw
-            column_name, power_w = entry
-            resolved.append((
-                res_id,
-                component_names.get(res_id, column_name),
-                power_w,
-            ))
-        plan_raw.append(resolved)
-    interval_vec = timeline.interval_vec
-    dt_ns = timeline.interval_t1 - timeline.interval_t0
-    # Vectorized energy products: duration and draw as elementwise
-    # multiplies — the identical IEEE-754 operations the streaming path
-    # performs one interval at a time.
-    dt_s = dt_ns * 1e-9
-    const_arr = regression.const_power_w * dt_s
-    label_name: dict[int, str] = {}
-
-    def _name_of_value(value: int) -> str:
-        name = label_name.get(value)
-        if name is None:
-            name = label_name[value] = registry.name_of(
-                ActivityLabel.decode(value))
-        return name
-
+    plan_raw = _resolve_plans(timeline.vectors, regression, component_names)
+    _name_of_value = _label_namer(registry, {})
     name_of = registry.name_of
     # Boundaries only emit at strictly increasing times, so on entries
     # in log order every interval is strictly positive — the guarantee
@@ -1494,77 +2039,25 @@ def columnar_energy_map(
     if bool((np.diff(timeline.columns.time_ns) < 0).any()):
         raise RegressionError(
             "log entries are not in log order: time runs backwards")
-    _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
-                 label_name, _name_of_value, fold_proxies, idle_name,
-                 name_of)
+    singles = {rid: timeline.single_columns(rid)
+               for rid in timeline.single_device_ids()}
+    multis = {rid: timeline.multi_columns(rid)
+              for rid in timeline.multi_device_ids()}
+    _fold_totals(emap, _fold_contributions(
+        timeline.interval_t0, timeline.interval_t1, timeline.interval_vec,
+        plan_raw, regression.const_power_w, singles, multis,
+        timeline.label_sets, _name_of_value, fold_proxies, idle_name,
+        name_of))
     # Time breakdown (Table 3a), in the accumulator's finish order:
-    # sorted devices, then per-name totals in first-closed order — the
-    # same per-device name→ns accumulation the streaming trackers keep,
-    # computed here from the segment columns (int sums, exact).
-    # Single devices, fused: one grouping sort over every device's
-    # segments (device-major), int span sums (exact, order-free), and
-    # a replay in global first-occurrence order — which is exactly
-    # device order then per-device name first-occurrence order, the
-    # accumulator's finish order.
-    dev_comp: list[str] = []
-    dev_vals: list[int] = []
-    dev_spans: list[np.ndarray] = []
-    dev_rows: list[np.ndarray] = []
-    for res_id in timeline.single_device_ids():
-        single = timeline.single_columns(res_id)
-        if single is None or not len(single):
-            continue
-        d = len(dev_comp)
-        dev_comp.append(component_names.get(res_id, f"res{res_id}"))
-        if fold_proxies:
-            dev_vals.extend(
-                b if b is not None else label
-                for label, b in zip(single.labels, single.bound))
-        else:
-            dev_vals.extend(single.labels)
-        dev_spans.append(single.t1 - single.t0)
-        dev_rows.append(np.full(len(single.labels), d, dtype=np.int64))
-    if dev_comp:
-        vals_arr = np.asarray(dev_vals, dtype=np.int64)
-        spans_arr = np.concatenate(dev_spans)
-        rows_arr = np.concatenate(dev_rows)
-        uvals, uinv = np.unique(vals_arr, return_inverse=True)
-        unames = [_name_of_value(value) for value in uvals.tolist()]
-        group_key = rows_arr * len(uvals) + uinv
-        order = np.argsort(group_key, kind="stable")
-        sorted_key = group_key[order]
-        first = np.empty(len(sorted_key), dtype=bool)
-        first[0] = True
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-        group_starts = np.nonzero(first)[0]
-        group_first = order[group_starts]
-        group_total = np.add.reduceat(spans_arr[order], group_starts)
-        group_dev = rows_arr[group_first].tolist()
-        group_val = uinv[group_first].tolist()
-        totals = group_total.tolist()
-        time_ns = emap.time_ns
-        for g in np.argsort(group_first, kind="stable").tolist():
-            key = (dev_comp[group_dev[g]], unames[group_val[g]])
-            time_ns[key] = time_ns.get(key, 0) + totals[g]
-    for res_id in timeline.multi_device_ids():
-        multi = timeline.multi_columns(res_id)
-        if multi is None or not len(multi):
-            continue
-        component = component_names.get(res_id, f"res{res_id}")
-        sets = timeline.label_sets
-        spans = (multi.t1 - multi.t0).tolist()
-        per_name = {}
-        for set_id, span in zip(multi.set_ids, spans):
-            labels = sets[set_id]
-            if not labels:
-                per_name[idle_name] = per_name.get(idle_name, 0) + span
-                continue
-            split = span // len(labels)
-            for label in labels:
-                name = name_of(label)
-                per_name[name] = per_name.get(name, 0) + split
-        for name, total_ns in per_name.items():
-            emap.add_time(component, name, total_ns)
+    # sorted devices, single before multi, then per-name totals in
+    # first-closed order (int sums, exact).
+    groups, totals, _present = _busy_time(
+        timeline, idle_name, _name_of_value, name_of, fold_proxies).cut([])
+    time_ns = emap.time_ns
+    for (dev, name), total in zip(groups, totals[:, 0].tolist()):
+        res_id = dev & 0xFF
+        key = (component_names.get(res_id, f"res{res_id}"), name)
+        time_ns[key] = time_ns.get(key, 0) + total
     emap.span_ns = int(timeline.interval_t1[n_intervals - 1]) \
         - int(timeline.interval_t0[0])
     emap.metered_energy_j = (

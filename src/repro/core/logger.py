@@ -50,7 +50,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from math import floor
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -468,7 +468,7 @@ class QuantoLogger:
 
 #: Entries :func:`iter_entries` hands its decoder per slice: bounds the
 #: decoded-but-not-yet-yielded entries, whatever the log's length.
-_ITER_SLICE_ENTRIES = 16
+_ITER_SLICE_ENTRIES = 128
 
 
 def iter_entries(raw: bytes):
@@ -476,11 +476,12 @@ def iter_entries(raw: bytes):
     wrap-around.
 
     A generator: a :class:`WireDecoder` is fed the log one bounded slice
-    at a time and each :class:`LogEntry` is yielded as it comes out, so
-    downstream consumers (the timeline stream, the energy accumulator)
-    can process a log without the whole decoded list ever existing in
-    memory.  The wrap-around unwrapping state is the decoder's few
-    integers — independent of log length.
+    at a time and each slice's columns are turned into
+    :class:`LogEntry` rows as they are yielded, so downstream consumers
+    (the timeline stream, the energy accumulator) can process a log
+    without the whole decoded list ever existing in memory.  The
+    wrap-around unwrapping state is the decoder's few integers —
+    independent of log length.
     """
     if len(raw) % ENTRY_SIZE:
         raise LoggerError(
@@ -490,7 +491,8 @@ def iter_entries(raw: bytes):
     view = memoryview(raw)
     step = _ITER_SLICE_ENTRIES * ENTRY_SIZE
     for start in range(0, len(view), step):
-        yield from decoder.feed(view[start:start + step])
+        seq = decoder.entries_decoded
+        yield from decoder.feed(view[start:start + step]).entries(seq)
 
 
 def decode_log(raw: bytes) -> list[LogEntry]:
@@ -501,17 +503,18 @@ def decode_log(raw: bytes) -> list[LogEntry]:
 
 class WireDecoder:
     """Incremental decoder for the 12-byte wire format arriving in
-    arbitrary chunk boundaries — the module's one scalar u32 unwrap,
-    which :func:`iter_entries` drives over a whole buffer.
+    arbitrary chunk boundaries.
 
     A TCP stream (or any chunked transport) cuts the packed log wherever
     it likes: mid-entry, even mid-field.  :meth:`feed` buffers the
-    partial tail of each chunk and carries the u32 time/iCount unwrap
-    state across calls, so feeding a log in any split — one byte at a
-    time or all at once — yields the same entry sequence (same ``seq``
-    numbers, same unwrapped timestamps).  State between feeds is the
-    sub-entry remainder (< 12 bytes) plus five integers, independent of
-    how much has streamed through.
+    partial tail of each chunk and decodes the completed entries with
+    the module's one vectorized unwrap (:func:`decode_batch_records`),
+    seeded with the u32 time/iCount wrap state carried from the previous
+    feed — so feeding a log in any split, one byte at a time or all at
+    once, yields the same rows (same unwrapped timestamps, same order)
+    as :func:`decode_columns` of the whole log.  State between feeds is
+    the sub-entry remainder (< 12 bytes) plus five integers, independent
+    of how much has streamed through.
     """
 
     __slots__ = ("_partial", "_time_base", "_last_time", "_ic_base",
@@ -527,7 +530,7 @@ class WireDecoder:
 
     @property
     def entries_decoded(self) -> int:
-        """How many entries have been yielded so far."""
+        """How many entries have been decoded so far."""
         return self._seq
 
     @property
@@ -535,43 +538,24 @@ class WireDecoder:
         """Buffered bytes of the incomplete trailing entry (0..11)."""
         return len(self._partial)
 
-    def feed(self, chunk: bytes) -> list[LogEntry]:
-        """Decode every entry completed by ``chunk``; buffer the rest."""
+    def feed(self, chunk: bytes) -> "LogColumns":
+        """Decode every entry completed by ``chunk`` into columns (rows
+        ``entries_decoded`` onward of the stream); buffer the rest."""
         buf = self._partial + bytes(chunk) if self._partial else bytes(chunk)
-        usable = len(buf) - len(buf) % ENTRY_SIZE
-        self._partial = buf[usable:]
-        if not usable:
-            return []
-        entries: list[LogEntry] = []
-        append = entries.append
-        time_base = self._time_base
-        last_time = self._last_time
-        ic_base = self._ic_base
-        last_ic = self._last_ic
-        seq = self._seq
-        for entry_type, res_id, time_us, pulses, value in \
-                ENTRY_STRUCT.iter_unpack(buf[:usable]):
-            if seq:
-                if time_us < last_time:
-                    time_base += 1 << 32
-                if pulses < last_ic:
-                    ic_base += 1 << 32
-            last_time, last_ic = time_us, pulses
-            append(LogEntry(
-                type=entry_type,
-                res_id=res_id,
-                time_us=time_base + time_us,
-                icount=ic_base + pulses,
-                value=value,
-                seq=seq,
-            ))
-            seq += 1
-        self._time_base = time_base
-        self._last_time = last_time
-        self._ic_base = ic_base
-        self._last_ic = last_ic
-        self._seq = seq
-        return entries
+        count = len(buf) // ENTRY_SIZE
+        self._partial = buf[count * ENTRY_SIZE:]
+        records = np.frombuffer(buf, dtype=ENTRY_DTYPE, count=count)
+        seed = ((self._last_time, self._last_ic, self._time_base,
+                 self._ic_base) if self._seq else None)
+        columns = decode_batch_records(records, [count], seed)[0]
+        if count:
+            self._last_time = int(records["time"][-1])
+            self._last_ic = int(records["ic"][-1])
+            self._time_base = (int(columns.time_ns[-1]) // 1000
+                               - self._last_time)
+            self._ic_base = int(columns.icount[-1]) - self._last_ic
+            self._seq += count
+        return columns
 
     def finish(self) -> None:
         """Assert the stream ended on an entry boundary.  A leftover
@@ -591,7 +575,7 @@ class WireDecoder:
         the byte offset the caller has fed, this is everything needed to
         resume decoding the same stream after a process restart —
         :meth:`from_snapshot` of this dict, fed the remaining bytes,
-        yields exactly the entries an uninterrupted decoder would."""
+        yields exactly the rows an uninterrupted decoder would."""
         return {
             "partial": self._partial.hex(),
             "time_base": self._time_base,
@@ -657,6 +641,24 @@ class LogColumns:
             value=np.array([e.value for e in entries], dtype=np.int64),
         )
 
+    @classmethod
+    def concat(cls, parts: Sequence["LogColumns"]) -> "LogColumns":
+        """Rows of several column sets, back to back."""
+        return cls(*(np.concatenate([getattr(part, name) for part in parts])
+                     for name in ("type", "res_id", "time_ns", "icount",
+                                  "value")))
+
+    def entries(self, seq: int = 0) -> Iterator[LogEntry]:
+        """The rows as :class:`LogEntry` objects, in row order; the first
+        row gets sequence number ``seq``."""
+        rows = zip(self.type.tolist(), self.res_id.tolist(),
+                   (self.time_ns // 1000).tolist(), self.icount.tolist(),
+                   self.value.tolist())
+        for index, (entry_type, res_id, time_us, icount, value) in \
+                enumerate(rows, seq):
+            yield LogEntry(type=entry_type, res_id=res_id, time_us=time_us,
+                           icount=icount, value=value, seq=index)
+
 
 def decode_columns(raw: bytes) -> LogColumns:
     """Decode a packed log into :class:`LogColumns` in one shot."""
@@ -670,11 +672,13 @@ def decode_columns(raw: bytes) -> LogColumns:
 
 def decode_batch_records(
     records: np.ndarray, counts: Sequence[int],
+    seed: Optional[tuple[int, int, int, int]] = None,
 ) -> list[LogColumns]:
     """Decode K concatenated logs from one structured array in one fused
     pass: a single vectorized unwrap whose wrap state resets at every
     world boundary, then per-world column slices.  The module's one
-    vectorized u32 unwrap; a single log is the one-world case.
+    vectorized u32 unwrap; a single log is the one-world case, and a
+    chunk of a longer stream is the one-world case with a ``seed``.
 
     ``records`` holds the K logs back to back; ``counts[i]`` is world
     i's entry count.  A field wrapped wherever it decreases, so the
@@ -685,24 +689,37 @@ def decode_batch_records(
     flagged before (or at) that row, including the spurious flag a
     ragged world boundary itself raises — so each world's slice carries
     exactly the wrap bases its own serial decode would, bit for bit.
+
+    ``seed`` — ``(last_time, last_ic, time_base, ic_base)``, the raw u32
+    fields of the stream's previous row and the bases already added to
+    them — continues one log across chunk boundaries: a first row below
+    the carried raw value is a wrap, and every row is lifted by the
+    carried base.
     """
     if sum(counts) != len(records):
         raise LoggerError(
             f"batch counts sum to {sum(counts)}, got {len(records)} records")
+    if seed is not None and len(counts) != 1:
+        raise LoggerError("a seeded unwrap continues exactly one log")
     total = len(records)
     time_us = records["time"].astype(np.int64)
     icount = records["ic"].astype(np.int64)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    if total > 1:
+    if total > 1 or (total and seed is not None):
         # An empty trailing world's start offset equals ``total``; clip
         # it — no row maps to an empty world, so the value is unused.
         starts = np.minimum(offsets[:-1], total - 1)
-        for field in (time_us, icount):
+        carried = (seed[0::2], seed[1::2]) if seed is not None \
+            else ((None, 0), (None, 0))
+        for field, (last, base) in zip((time_us, icount), carried):
             wraps = np.zeros(total, dtype=np.int64)
             np.cumsum(np.diff(field) < 0, out=wraps[1:])
-            wraps -= np.repeat(wraps[starts], counts)
-            field += wraps << 32
+            if len(counts) > 1:
+                wraps -= np.repeat(wraps[starts], counts)
+            if last is not None and int(field[0]) < last:
+                wraps += 1
+            field += (wraps << 32) + base
     type_col = records["type"].copy()
     res_col = records["res_id"].copy()
     time_ns = time_us * 1000

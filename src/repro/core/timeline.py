@@ -23,7 +23,10 @@ Two reconstructions share one set of semantics:
 * :class:`ColumnarTimeline` — the whole-log view offline analysis
   uses: intervals and segments rebuilt as column arrays straight from
   :class:`~repro.core.logger.LogColumns`, with the trackers' semantics
-  (the equivalence tests pin the two entry-for-entry).
+  (the equivalence tests pin the two entry-for-entry).  With
+  ``close=False`` it rebuilds one chunk of a stream instead, handing
+  what it leaves open to the next chunk as rows — the live windowed
+  accounting's reconstruction.
 
 One semantic caveat is inherent to the paper's bind model: a proxy
 segment's ``bound_to`` may be assigned *after* the segment closed (a
@@ -553,16 +556,19 @@ class _SingleColumns:
     ``t0``/``t1`` are sorted, non-overlapping int64 arrays (zero-length
     segments were never emitted); ``labels`` holds the painted 16-bit
     encodings and ``bound`` the bind-resolved encoding (or ``None``) per
-    segment — the columnar form of :class:`ActivitySegment`.
+    segment — the columnar form of :class:`ActivitySegment`.  ``rows``
+    is the row that closed each segment (the next change or bind; the
+    row count for a span closed at the window end).
     """
 
-    __slots__ = ("t0", "t1", "labels", "bound")
+    __slots__ = ("t0", "t1", "labels", "bound", "rows")
 
-    def __init__(self, t0, t1, labels, bound) -> None:
+    def __init__(self, t0, t1, labels, bound, rows) -> None:
         self.t0 = t0
         self.t1 = t1
         self.labels = labels
         self.bound = bound
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -570,17 +576,37 @@ class _SingleColumns:
 
 class _MultiColumns:
     """One multi-activity device's segments as parallel columns;
-    ``set_ids`` indexes :attr:`ColumnarTimeline.label_sets`."""
+    ``set_ids`` indexes :attr:`ColumnarTimeline.label_sets` and ``rows``
+    is each segment's closing row, as in :class:`_SingleColumns`."""
 
-    __slots__ = ("t0", "t1", "set_ids")
+    __slots__ = ("t0", "t1", "set_ids", "rows")
 
-    def __init__(self, t0, t1, set_ids) -> None:
+    def __init__(self, t0, t1, set_ids, rows) -> None:
         self.t0 = t0
         self.t1 = t1
         self.set_ids = set_ids
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.set_ids)
+
+
+#: The entry type of the row :meth:`ColumnarTimeline.open_rows` uses to
+#: mark the last record: no tracker reads it, but the trailing interval
+#: closes at the last row of any type.
+_TYPE_LAST_RECORD = 0
+
+
+def _first_rows(res_ids: np.ndarray, pos: np.ndarray) -> list[tuple[int, int]]:
+    """``(res_id, first row)`` of every device among rows ``pos``
+    (ascending), in ``res_id`` order: a reversed fancy assignment, so
+    the last write — the first row — wins."""
+    if not len(pos):
+        return []
+    first = np.full(256, -1, dtype=np.int64)
+    first[res_ids[pos[::-1]]] = pos[::-1]
+    rids = np.flatnonzero(first >= 0)
+    return list(zip(rids.tolist(), first[rids].tolist()))
 
 
 class ColumnarTimeline:
@@ -605,7 +631,18 @@ class ColumnarTimeline:
 
     Entries must be in log order.  Devices may be declared up front
     (always the case on node paths); otherwise they are inferred over
-    the whole log as :class:`TimelineStream` infers them.
+    the whole log as :class:`TimelineStream` infers them, and
+    :attr:`inferred_from` records the row at which each inferred device
+    first appeared (the stream tracks it only from there on).
+
+    ``close=False`` reconstructs one chunk of a longer stream: the
+    trailing interval and every device's last span stay open instead of
+    closing at the window end, :meth:`open_rows` hands them over as rows
+    to prefix to the next chunk, and the chunk's intervals and segments
+    are exactly those the whole stream's reconstruction closes at these
+    rows.  Binds cannot reach back across chunks, so an open timeline
+    resolves none: its segments carry painted labels only (``bound`` is
+    ``None``, as on a ``track_binds=False`` stream).
     """
 
     def __init__(
@@ -614,8 +651,10 @@ class ColumnarTimeline:
         end_time_ns: Optional[int] = None,
         single_res_ids: Optional[Iterable[int]] = None,
         multi_res_ids: Optional[Iterable[int]] = None,
+        close: bool = True,
     ) -> None:
         self.columns = columns
+        self.close = close
         n = len(columns)
         if end_time_ns is None:
             end_time_ns = int(columns.time_ns[-1]) if n else 0
@@ -627,6 +666,8 @@ class ColumnarTimeline:
         is_multi_entry = (types == TYPE_ACT_ADD) | (types == TYPE_ACT_REMOVE)
         self._single_ids = set(single_res_ids or [])
         self._multi_ids = set(multi_res_ids or [])
+        declared = self._single_ids | self._multi_ids
+        self.inferred_from: dict[int, int] = {}
         # Whole-log device inference, replicating the stream's in-order
         # rule: add/remove marks a device multi; change/bind marks it
         # single only if it was not yet multi at that point — i.e. its
@@ -634,43 +675,32 @@ class ColumnarTimeline:
         single_pos = np.nonzero(is_single_entry)[0]
         multi_pos = np.nonzero(is_multi_entry)[0]
         first_multi: dict[int, int] = {rid: -1 for rid in self._multi_ids}
-        if len(multi_pos):
-            rids, firsts = np.unique(res[multi_pos], return_index=True)
-            for rid, first in zip(rids.tolist(), firsts.tolist()):
-                pos = int(multi_pos[first])
-                if rid not in first_multi:
-                    first_multi[rid] = pos
-                self._multi_ids.add(rid)
-        if len(single_pos):
-            rids, firsts = np.unique(res[single_pos], return_index=True)
-            for rid, first in zip(rids.tolist(), firsts.tolist()):
-                bound = first_multi.get(rid)
-                if bound is None or int(single_pos[first]) < bound:
-                    self._single_ids.add(rid)
-        self._build_intervals(single_pos, multi_pos)
-        self._singles: dict[int, _SingleColumns] = {}
-        for rid in sorted(self._single_ids):
-            mask = is_single_entry & (res == rid)
-            rows = np.nonzero(mask)[0]
-            # The streaming feed drops a change/bind the moment its
-            # res_id is known to be multi, so rows at or past the
-            # device's first add/remove (or all rows, when it was
-            # declared multi up front: bound -1) never reach the
-            # single tracker.
+        for rid, pos in _first_rows(res, multi_pos):
+            if rid not in first_multi:
+                first_multi[rid] = pos
+            self._multi_ids.add(rid)
+            if rid not in declared:
+                self.inferred_from[rid] = pos
+        for rid, pos in _first_rows(res, single_pos):
             bound = first_multi.get(rid)
-            if bound is not None:
-                rows = rows[rows < bound]
-            self._singles[rid] = self._build_single(rows)
+            if bound is None or pos < bound:
+                self._single_ids.add(rid)
+                if rid not in declared:
+                    self.inferred_from[rid] = pos
+        self._build_intervals()
+        self._open_single: dict[int, tuple[int, int]] = {}
+        self._build_singles(single_pos, first_multi)
         self.label_sets: list[frozenset[ActivityLabel]] = []
         self._set_intern: dict[tuple[int, ...], int] = {}
+        self._open_multi: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._multis: dict[int, _MultiColumns] = {}
         for rid in sorted(self._multi_ids):
             mask = is_multi_entry & (res == rid)
-            self._multis[rid] = self._build_multi(np.nonzero(mask)[0])
+            self._multis[rid] = self._build_multi(rid, np.nonzero(mask)[0])
 
     # -- construction -------------------------------------------------------
 
-    def _build_intervals(self, single_pos, multi_pos) -> None:
+    def _build_intervals(self) -> None:
         """Power entries → interval columns, fully vectorized.
 
         Equivalent to replaying :class:`_IntervalTracker` entry by
@@ -685,20 +715,31 @@ class ColumnarTimeline:
           set *before* the emitting entry — a per-sink ``searchsorted``
           forward fill — with equal rows interned via ``np.unique``;
         * the trailing span closes at the last record of any type, with
-          the post-log state vector and non-negative clamped pulses.
+          the post-log state vector and non-negative clamped pulses
+          (unless the timeline is open: then it is :meth:`open_rows`'
+          business).
+
+        ``interval_rows`` is the row whose arrival closed each interval
+        (the row count for the trailing one).
         """
         columns = self.columns
         types = columns.type
         p_pos = np.nonzero(
             (types == TYPE_POWERSTATE) | (types == TYPE_BOOT))[0]
         self.vectors: list[tuple[tuple[int, int], ...]] = []
+        self._open_interval: Optional[
+            tuple[int, int, tuple[tuple[int, int], ...]]] = None
         n_power = len(p_pos)
         n = len(columns)
+        self._last_record = (
+            (int(columns.time_ns[n - 1]), int(columns.icount[n - 1]))
+            if n else None)
         if not n_power or not n:
             self.interval_t0 = np.empty(0, dtype=np.int64)
             self.interval_t1 = np.empty(0, dtype=np.int64)
             self.interval_pulses = np.empty(0, dtype=np.int64)
             self.interval_vec = np.empty(0, dtype=np.intp)
+            self.interval_rows = np.empty(0, dtype=np.int64)
             return
         p_types = types[p_pos]
         p_res = columns.res_id[p_pos]
@@ -728,40 +769,52 @@ class ColumnarTimeline:
             t0s = np.empty(0, dtype=np.int64)
             t1s = np.empty(0, dtype=np.int64)
             pulses = np.empty(0, dtype=np.int64)
+        rows = p_pos[emit]
         # Trailing span: closes at the last record of *any* type (time
         # past it is unobservable), clamped to non-negative pulses.
-        last_t = int(columns.time_ns[n - 1])
-        last_ic = int(columns.icount[n - 1])
+        last_t, last_ic = self._last_record
         tail_start = int(t1s[-1]) if len(t1s) else open_time
         tail_ic = int(boundary_ic[-1]) if len(t1s) else open_ic
-        has_tail = last_t > tail_start
+        has_tail = self.close and last_t > tail_start
         if has_tail:
             t0s = np.concatenate((t0s, [tail_start]))
             t1s = np.concatenate((t1s, [last_t]))
             pulses = np.concatenate((pulses, [max(last_ic - tail_ic, 0)]))
+            rows = np.concatenate((rows, [n]))
         # State vectors: one query per boundary (the state *before* the
-        # emitting entry) plus the post-log state for the tail.  Per
-        # sink, the value at query q is the sink's last write before
-        # row q — a forward fill by bisection over its write positions.
-        queries = emit
-        if has_tail:
-            queries = np.concatenate((queries, [n_power]))
-        sink_ids = np.unique(p_res).tolist()
-        value_matrix = np.full((len(queries), len(sink_ids)), -1,
-                               dtype=np.int64)
-        for column_index, rid in enumerate(sink_ids):
-            writes = np.nonzero(p_res == rid)[0]
-            write_values = p_val[writes]
-            fill = np.searchsorted(writes, queries, side="left") - 1
-            seen = fill >= 0
-            value_matrix[seen, column_index] = write_values[fill[seen]]
+        # emitting entry) plus the post-log state (the trailing
+        # interval's, or the open span's).  Per sink, the value at query
+        # q is the sink's last write before row q — a forward fill by
+        # bisection over its write positions.
+        queries = np.concatenate((emit, [n_power]))
+        # All sinks at once: writes sorted by (sink, position), so one
+        # bisection per (query, sink) finds the sink's last write before
+        # the query — valid only if it is that sink's write at all.
+        by_sink = np.argsort(p_res, kind="stable")
+        sorted_res = p_res[by_sink].astype(np.int64)
+        sink_first = np.flatnonzero(np.concatenate(
+            ([True], sorted_res[1:] != sorted_res[:-1])))
+        sink_res = sorted_res[sink_first]
+        sink_ids = sink_res.tolist()
+        stride = n_power + 1
+        last = np.searchsorted(
+            sorted_res * stride + by_sink,
+            (sink_res * stride)[None, :] + queries[:, None]) - 1
+        value_matrix = np.where(last >= sink_first[None, :],
+                                p_val[by_sink][last], -1)
+        if not self.close:
+            self._open_interval = (tail_start, tail_ic, tuple(
+                pair for pair in zip(sink_ids, value_matrix[-1].tolist())
+                if pair[1] != -1))
         # Intern equal rows, numbered in first-occurrence order (the
         # order the streaming tracker would have produced): byte-view
         # unique + a first-index renumbering, no per-row python.
-        matrix = np.ascontiguousarray(value_matrix)
+        matrix = np.ascontiguousarray(value_matrix[:len(t0s)])
         if matrix.shape[1]:
-            row_view = matrix.view(
-                [("", matrix.dtype)] * matrix.shape[1]).ravel()
+            # Each row as one opaque byte string: equal rows, equal
+            # bytes (the order np.unique sorts them in is irrelevant).
+            row_view = matrix.view(np.dtype(
+                (np.void, matrix.dtype.itemsize * matrix.shape[1]))).ravel()
             _, first_idx, inverse = np.unique(
                 row_view, return_index=True, return_inverse=True)
         else:
@@ -771,49 +824,100 @@ class ColumnarTimeline:
         remap = np.empty(len(first_idx), dtype=np.intp)
         remap[rank] = np.arange(len(first_idx), dtype=np.intp)
         vectors = self.vectors
-        for row_index in first_idx[rank].tolist():
-            vectors.append(tuple(
-                (rid, value)
-                for rid, value in zip(sink_ids,
-                                      value_matrix[row_index].tolist())
-                if value != -1))
+        for row in matrix[first_idx[rank]].tolist():
+            if -1 in row:  # a sink not yet set
+                vectors.append(tuple(
+                    pair for pair in zip(sink_ids, row) if pair[1] != -1))
+            else:
+                vectors.append(tuple(zip(sink_ids, row)))
         self.interval_t0 = t0s
         self.interval_t1 = t1s
         self.interval_pulses = pulses
         self.interval_vec = remap[inverse]
+        self.interval_rows = rows
 
-    def _build_single(self, pos: np.ndarray) -> _SingleColumns:
+    def _build_singles(self, single_pos: np.ndarray,
+                       first_multi: dict[int, int]) -> None:
+        """Change/bind rows → every single-activity device's segment
+        columns at once.  Without binds to resolve, a device's segments
+        are simply the spans between its consecutive changes (plus the
+        trailing span to the window end, or left open), zero-length
+        spans dropped — vectorized over all devices; a device with binds
+        on a closed timeline takes :meth:`_build_single_binds`."""
+        columns = self.columns
+        n = len(columns)
+        res = columns.res_id
+        # The streaming feed drops a change/bind the moment its res_id
+        # is known to be multi, so rows at or past the device's first
+        # add/remove (or all rows, when it was declared multi up front:
+        # bound -1) never reach the single tracker.
+        bound = np.full(256, n, dtype=np.int64)
+        for rid, first in first_multi.items():
+            bound[rid] = first
+        pos = single_pos[single_pos < bound[res[single_pos]]]
+        pos = pos[np.argsort(res[pos], kind="stable")]  # by device
+        rids = res[pos].astype(np.int64)
+        self._singles: dict[int, _SingleColumns] = {}
+        binds = (sorted(set(rids[columns.type[pos] == TYPE_ACT_BIND].tolist()))
+                 if self.close else [])
+        for rid in binds:
+            self._singles[rid] = self._build_single_binds(pos[rids == rid])
+        if binds:
+            plain = ~np.isin(rids, binds)
+            pos = pos[plain]
+            rids = rids[plain]
+        times = columns.time_ns[pos]
+        values = columns.value[pos]
+        last = np.ones(len(pos), dtype=bool)  # each device's last row
+        last[:-1] = rids[1:] != rids[:-1]
+        t1 = np.empty_like(times)
+        t1[:-1] = times[1:]
+        closing = np.empty_like(pos)
+        closing[:-1] = pos[1:]
+        if self.close:
+            t1[last] = self.end_time_ns
+            closing[last] = n
+            keep = t1 > times
+        else:
+            keep = (t1 > times) & ~last
+            self._open_single = dict(zip(
+                rids[last].tolist(),
+                zip(times[last].tolist(), values[last].tolist())))
+        kept = np.flatnonzero(keep)
+        kept_rids = rids[kept]
+        t0 = times[kept]
+        t1 = t1[kept]
+        closing = closing[kept]
+        values = values[kept]
+        # Every device's columns below are views of these flat ones.
+        self._single_flat = (None if binds
+                             else (kept_rids, t0, t1, values, closing))
+        labels = values.tolist()
+        device_ids = [rid for rid in sorted(self._single_ids)
+                      if rid not in self._singles]
+        lo = np.searchsorted(kept_rids, device_ids, side="left").tolist()
+        hi = np.searchsorted(kept_rids, device_ids, side="right").tolist()
+        for rid, a, b in zip(device_ids, lo, hi):
+            self._singles[rid] = _SingleColumns(
+                t0=t0[a:b], t1=t1[a:b], labels=labels[a:b],
+                bound=[None] * (b - a), rows=closing[a:b])
+
+    def _build_single_binds(self, pos: np.ndarray) -> _SingleColumns:
         """One device's change/bind rows → segment columns, with the
         :class:`_SingleTracker` bind semantics (pop every unresolved
         segment of the rebound label; chain transitively)."""
         columns = self.columns
+        n = len(columns)
         bind_rows = columns.type[pos] == TYPE_ACT_BIND
-        if not bind_rows.any():
-            # No binds: segments are simply the spans between
-            # consecutive changes (plus the trailing span to the window
-            # end), zero-length spans dropped — fully vectorized.
-            times = columns.time_ns[pos]
-            values = columns.value[pos]
-            if not len(pos):
-                empty = np.empty(0, dtype=np.int64)
-                return _SingleColumns(t0=empty, t1=empty, labels=[],
-                                      bound=[])
-            t0 = times
-            t1 = np.concatenate((times[1:], [self.end_time_ns]))
-            keep = t1 > t0
-            kept_labels = values[keep].tolist()
-            return _SingleColumns(
-                t0=t0[keep], t1=t1[keep],
-                labels=kept_labels,
-                bound=[None] * len(kept_labels),
-            )
         times = columns.time_ns[pos].tolist()
         labels = columns.value[pos].tolist()
         binds = bind_rows.tolist()
+        closing = pos.tolist()
         t0s: list[int] = []
         t1s: list[int] = []
         seg_labels: list[int] = []
         bound: list[Optional[int]] = []
+        seg_rows: list[int] = []
         unresolved: dict[int, list[int]] = {}
         open_label: Optional[int] = None
         open_t0 = 0
@@ -827,6 +931,7 @@ class ColumnarTimeline:
                 t1s.append(t)
                 seg_labels.append(open_label)
                 bound.append(None)
+                seg_rows.append(closing[k])
                 unresolved.setdefault(open_label, []).append(index)
             if binds[k] and previous_label is not None:
                 pending = unresolved.pop(previous_label, [])
@@ -841,11 +946,13 @@ class ColumnarTimeline:
             t1s.append(self.end_time_ns)
             seg_labels.append(open_label)
             bound.append(None)
+            seg_rows.append(n)
         return _SingleColumns(
             t0=np.array(t0s, dtype=np.int64),
             t1=np.array(t1s, dtype=np.int64),
             labels=seg_labels,
             bound=bound,
+            rows=np.array(seg_rows, dtype=np.int64),
         )
 
     def _intern_set(self, values: set[int]) -> int:
@@ -858,16 +965,18 @@ class ColumnarTimeline:
                 frozenset(ActivityLabel.decode(v) for v in key))
         return set_id
 
-    def _build_multi(self, pos: np.ndarray) -> _MultiColumns:
+    def _build_multi(self, rid: int, pos: np.ndarray) -> _MultiColumns:
         """One device's add/remove rows → label-set spans, mirroring
         :class:`_MultiTracker` (snapshot emitted before each change)."""
         columns = self.columns
         times = columns.time_ns[pos].tolist()
         labels = columns.value[pos].tolist()
         adds = (columns.type[pos] == TYPE_ACT_ADD).tolist()
+        closing = pos.tolist()
         t0s: list[int] = []
         t1s: list[int] = []
         set_ids: list[int] = []
+        seg_rows: list[int] = []
         current: set[int] = set()
         start = 0
         started = False
@@ -877,20 +986,86 @@ class ColumnarTimeline:
                 t0s.append(start)
                 t1s.append(t)
                 set_ids.append(self._intern_set(current))
+                seg_rows.append(closing[k])
             if adds[k]:
                 current.add(labels[k])
             else:
                 current.discard(labels[k])
             start = t
             started = True
-        if started and self.end_time_ns > start:
+        if started and not self.close:
+            self._open_multi[rid] = (start, tuple(sorted(current)))
+        elif started and self.end_time_ns > start:
             t0s.append(start)
             t1s.append(self.end_time_ns)
             set_ids.append(self._intern_set(current))
+            seg_rows.append(len(columns))
         return _MultiColumns(
             t0=np.array(t0s, dtype=np.int64),
             t1=np.array(t1s, dtype=np.int64),
             set_ids=set_ids,
+            rows=np.array(seg_rows, dtype=np.int64),
+        )
+
+    # -- chunked reconstruction ----------------------------------------------
+
+    @property
+    def open_interval_t0_ns(self) -> Optional[int]:
+        """Start of the interval an open timeline left open (None before
+        the first power record)."""
+        opened = self._open_interval
+        return opened[0] if opened is not None else None
+
+    def open_single_segments(self) -> dict[int, tuple[int, int]]:
+        """``res_id -> (t0_ns, label)`` of each single-activity device's
+        span an open timeline left open."""
+        return dict(self._open_single)
+
+    def open_multi_segments(self) -> dict[int, tuple[int, frozenset]]:
+        """``res_id -> (t0_ns, labels)`` of each multi-activity device's
+        span an open timeline left open."""
+        return {
+            rid: (start, frozenset(ActivityLabel.decode(v) for v in key))
+            for rid, (start, key) in self._open_multi.items()
+        }
+
+    def open_rows(self) -> LogColumns:
+        """What an open (``close=False``) timeline left open, as the log
+        rows that reopen it: prefixed to the next chunk's rows, they
+        make that chunk's reconstruction continue exactly where this one
+        stopped — the offline reconstruction is the case with no prefix.
+
+        The open interval comes back as boot rows (its start time and
+        pulse count, its state vector), each device's open span as the
+        change — or the adds, or one no-op remove for an empty label set
+        — that opened it, and the last record as a row of no entry type
+        (the trailing interval closes there, and so do the spans when no
+        window end is given).
+        """
+        rows: list[tuple[int, int, int, int, int]] = []
+        if self._open_interval is not None:
+            t0, icount, state = self._open_interval
+            rows.extend((TYPE_BOOT, rid, t0, icount, value)
+                        for rid, value in state)
+        for rid, (t0, label) in sorted(self._open_single.items()):
+            rows.append((TYPE_ACT_CHANGE, rid, t0, 0, label))
+        for rid, (t0, labels) in sorted(self._open_multi.items()):
+            if labels:
+                rows.extend((TYPE_ACT_ADD, rid, t0, 0, label)
+                            for label in labels)
+            else:
+                rows.append((TYPE_ACT_REMOVE, rid, t0, 0, 0))
+        if self._last_record is not None:
+            rows.append((_TYPE_LAST_RECORD, 0, *self._last_record, 0))
+        rows.sort(key=lambda row: row[2])  # stable: log order per kind
+        types, res_ids, times, icounts, values = (
+            zip(*rows) if rows else ((),) * 5)
+        return LogColumns(
+            type=np.array(types, dtype=np.uint8),
+            res_id=np.array(res_ids, dtype=np.uint8),
+            time_ns=np.array(times, dtype=np.int64),
+            icount=np.array(icounts, dtype=np.int64),
+            value=np.array(values, dtype=np.int64),
         )
 
     # -- views --------------------------------------------------------------
@@ -900,6 +1075,24 @@ class ColumnarTimeline:
 
     def multi_device_ids(self) -> list[int]:
         return sorted(self._multi_ids)
+
+    def single_segments(self) -> tuple[np.ndarray, ...]:
+        """Every single-activity device's segments as flat columns,
+        device after device: ``(res_ids, t0, t1, labels, rows)``."""
+        if self._single_flat is not None:
+            return self._single_flat
+        # Bind-resolved devices were built apart: gather (not kept, so
+        # a cached timeline holds its segments once).
+        parts = [(rid, self._singles[rid]) for rid in sorted(self._singles)]
+        return (
+            np.concatenate([np.full(len(cols), rid, dtype=np.int64)
+                            for rid, cols in parts]),
+            np.concatenate([cols.t0 for _rid, cols in parts]),
+            np.concatenate([cols.t1 for _rid, cols in parts]),
+            np.concatenate([np.asarray(cols.labels, dtype=np.int64)
+                            for _rid, cols in parts]),
+            np.concatenate([cols.rows for _rid, cols in parts]),
+        )
 
     def single_columns(self, res_id: int) -> Optional[_SingleColumns]:
         return self._singles.get(res_id)
@@ -937,14 +1130,7 @@ class ColumnarTimeline:
     def entries(self) -> Iterator[LogEntry]:
         """The columns as decoded entries, in log order — the input the
         streaming reference consumes for the same log."""
-        columns = self.columns
-        rows = zip(columns.type.tolist(), columns.res_id.tolist(),
-                   (columns.time_ns // 1000).tolist(),
-                   columns.icount.tolist(), columns.value.tolist())
-        for seq, (entry_type, res_id, time_us, icount, value) in \
-                enumerate(rows):
-            yield LogEntry(type=entry_type, res_id=res_id, time_us=time_us,
-                           icount=icount, value=value, seq=seq)
+        return self.columns.entries()
 
     def grouped_inputs(
         self,

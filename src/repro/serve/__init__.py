@@ -1,14 +1,16 @@
 """Live windowed energy accounting as a service (toward the paper's
 "network-wide profiling", §6).
 
-The offline pipeline — 12-byte log, wire decode, timeline stream,
-energy accumulator — already runs in one bounded pass; this package
-points it at sockets.  Nodes stream their packed logs to a long-running
+The offline pipeline — 12-byte log, columnar decode, timeline,
+energy fold — also runs one chunk of a stream at a time with bounded
+carried state; this package points it at sockets.  Nodes stream their
+packed logs to a long-running
 :class:`~repro.serve.server.IngestServer`; each stream gets a
-:class:`~repro.core.logger.WireDecoder` (chunk-boundary-proof decode)
-feeding a :class:`~repro.core.accounting.WindowedAccumulator` (live
-per-window breakdowns, exact cumulative sums), with bounded queues
-backpressuring fast senders.  Query connections read live breakdowns
+:class:`~repro.core.logger.WireDecoder` (chunk-boundary-proof decode
+into columns) feeding a
+:class:`~repro.core.accounting.WindowedAccumulator` (live per-window
+breakdowns, exact cumulative sums), with bounded queues backpressuring
+fast senders.  Query connections read live breakdowns
 while streams are in flight; a finished stream's reply carries the
 folded map, byte-identical to the offline ``build_energy_map`` of the
 same log.

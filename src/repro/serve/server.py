@@ -2,13 +2,15 @@
 
 One asyncio event loop owns everything.  Each ``INGEST`` connection gets
 a :class:`NodeSession` — a :class:`~repro.core.logger.WireDecoder`
-reassembling 12-byte entries from arbitrary chunk boundaries, feeding a
-:class:`~repro.core.accounting.WindowedAccumulator` that closes
-per-stride windows as the node's virtual time advances.  Chunks flow
-through a **bounded** queue between the socket reader and the
-accounting consumer: when accounting falls behind, ``queue.put`` blocks
-the reader, the TCP window fills, and the node is flow-controlled —
-backpressure end to end, no unbounded buffering anywhere.
+decoding each chunk's completed 12-byte entries into columns (whatever
+the chunk boundaries), feeding a
+:class:`~repro.core.accounting.WindowedAccumulator` that prices the
+chunk on the columnar engine and closes per-stride windows as the
+node's virtual time advances.  Chunks flow through a **bounded** queue
+between the socket reader and the accounting consumer: when accounting
+falls behind, ``queue.put`` blocks the reader, the TCP window fills,
+and the node is flow-controlled — backpressure end to end, no unbounded
+buffering anywhere.
 
 ``QUERY`` connections read the same sessions for live breakdowns; both
 run on the loop, so no locks.  Memory per node is the accumulator's
@@ -68,6 +70,10 @@ CHECKPOINT_BYTES = 1 << 16
 #: Default ack cadence for resume-capable clients.
 ACK_BYTES = 1 << 14
 
+#: Layout version of :meth:`NodeSession.checkpoint_state`; a restore
+#: replays the full journal past a checkpoint of any other version.
+CHECKPOINT_SCHEMA = 2
+
 #: End-of-stream sentinel on a session's chunk queue.
 _EOF = None
 
@@ -114,12 +120,13 @@ class NodeSession:
         self.resumable = False      # client speaks the ack handshake
         self.checkpointed_bytes = 0
         self.last_ack_bytes = 0
+        #: Restores that found a checkpoint but had to replay the whole
+        #: journal instead (corrupt, or written by another schema).
+        self.snapshot_fallbacks = 0
 
     def ingest(self, chunk: bytes) -> None:
         self.bytes_received += len(chunk)
-        accumulator = self.accumulator
-        for entry in self.decoder.feed(chunk):
-            accumulator.feed(entry)
+        self.accumulator.feed(self.decoder.feed(chunk))
 
     def finish(self):
         self.decoder.finish()  # a torn tail is a protocol error
@@ -142,7 +149,7 @@ class NodeSession:
 
     def checkpoint_state(self, complete: bool = False) -> dict:
         return {
-            "schema": 1,
+            "schema": CHECKPOINT_SCHEMA,
             "node_id": self.node_id,
             "journal_offset": self.bytes_received,
             "decoder": self.decoder.snapshot(),
@@ -178,19 +185,25 @@ class NodeSession:
             return session
         start = 0
         state = journal.load_checkpoint()
-        if (state is not None and state.get("schema") == 1
-                and isinstance(state.get("journal_offset"), int)
-                and 0 <= state["journal_offset"] <= contents.payload_bytes):
+        if state is not None:
+            # A checkpoint of another schema (an older accumulator
+            # layout), a bad offset or a snapshot that will not restore
+            # is as good as none: the full-journal replay covers it.
             try:
+                offset = state.get("journal_offset")
+                if state.get("schema") != CHECKPOINT_SCHEMA \
+                        or not isinstance(offset, int) \
+                        or not 0 <= offset <= contents.payload_bytes:
+                    raise ServeError("unusable checkpoint")
                 decoder = WireDecoder.from_snapshot(state["decoder"])
                 accumulator = WindowedAccumulator.restore(
                     state["accumulator"])
             except ReproError:
-                pass  # corrupt snapshot: full-journal replay covers it
+                session.snapshot_fallbacks += 1
             else:
                 session.decoder = decoder
                 session.accumulator = accumulator
-                start = state["journal_offset"]
+                start = offset
         session.bytes_received = start
         session.resumable = True
         for chunk in contents.replay(start):
@@ -260,6 +273,9 @@ class IngestServer:
         self.sessions: dict[int, NodeSession] = {}
         self.completed = 0
         self.restored = 0
+        #: Checkpoints (or completion records) that failed to write: the
+        #: journal still covers the bytes, a restart replays more.
+        self.checkpoint_failures = 0
         self._servers: list[asyncio.base_events.Server] = []
         self._done_event = asyncio.Event()
         self._shutdown = asyncio.Event()
@@ -312,7 +328,7 @@ class IngestServer:
         try:
             self._checkpoint(session)
         except OSError:
-            pass  # the journal itself still covers the bytes
+            self.checkpoint_failures += 1  # the journal covers the bytes
 
     def _finalize(self, session: NodeSession) -> None:
         """Completion durability: final checkpoint (finished
@@ -327,7 +343,8 @@ class IngestServer:
             })
             session.journal.close()
         except OSError:
-            pass  # reply still stands; a restart replays the journal
+            # The reply still stands; a restart replays the journal.
+            self.checkpoint_failures += 1
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -410,7 +427,7 @@ class IngestServer:
                 try:
                     self._checkpoint(session)
                 except OSError:
-                    pass
+                    self.checkpoint_failures += 1
 
     async def close(self) -> None:
         for server in self._servers:
@@ -645,8 +662,9 @@ class IngestServer:
         """Drain one session's chunk queue: journal first (write-ahead),
         then decode into the accumulator, checkpointing and acking on
         their byte cadences.  Runs as a task so decoding keeps pace with
-        (and backpressures) the socket reads; yields to the loop between
-        chunks to keep query connections responsive."""
+        (and backpressures) the socket reads.  It yields to the loop only
+        when its queue is empty: queued chunks are accounted back to
+        back, and query connections are answered in between bursts."""
         while True:
             chunk = await queue.get()
             if chunk is _EOF:
@@ -729,6 +747,9 @@ class IngestServer:
                 "bytes": sum(s.bytes_received
                              for s in self.sessions.values()),
                 "entry_size": ENTRY_SIZE,
+                "snapshot_fallbacks": sum(s.snapshot_fallbacks
+                                          for s in self.sessions.values()),
+                "checkpoint_failures": self.checkpoint_failures,
             }
         raise ServeError(
             f"unknown query cmd {command!r}; "

@@ -241,6 +241,105 @@ def test_mid_stream_checkpoint_restores_bit_identical(blink, offline):
         assert resumed.bytes_received == len(raw)
 
 
+def _journal_whole_stream(tmp_path, hello, raw, chunk=113):
+    """A journal holding every byte of ``raw`` (no completion record):
+    what a server that died right after the last append leaves."""
+    journal = NodeJournal(tmp_path, 1)
+    journal.create(hello)
+    for at in range(0, len(raw), chunk):
+        journal.append_chunk(raw[at:at + chunk])
+    return journal
+
+
+def test_schema1_checkpoint_replays_the_full_journal(tmp_path, blink,
+                                                     offline):
+    """A checkpoint written under the previous accumulator layout
+    (schema 1) is not trusted: restore replays the whole journal and
+    lands on the byte-identical map — even though this checkpoint's
+    offset points mid-stream at state that does not match it."""
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    raw = bytes(blink.logger.raw_bytes())
+    journal = _journal_whole_stream(tmp_path, hello, raw)
+    stale = NodeSession(hello, retain=64).checkpoint_state()
+    assert stale["schema"] == 2
+    stale.update(schema=1, journal_offset=len(raw) // 2)
+    journal.write_checkpoint(stale)
+    journal.close()
+    session = NodeSession.restore(tmp_path, 1, retain=64)
+    assert session.snapshot_fallbacks == 1
+    assert session.bytes_received == len(raw)
+    assert_maps_identical(session.finish(), offline)
+    session.journal.close()
+
+
+def test_corrupt_accumulator_blob_falls_back_and_is_counted(tmp_path, blink,
+                                                            offline):
+    """A well-framed checkpoint whose accumulator blob does not unpickle
+    falls back to full replay, and the server's stats count it."""
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    raw = bytes(blink.logger.raw_bytes())
+    journal = _journal_whole_stream(tmp_path, hello, raw)
+    session = NodeSession(hello, retain=64)
+    session.ingest(raw[:600])
+    state = session.checkpoint_state()
+    state["accumulator"] = b"\x80\x05garbage"
+    journal.write_checkpoint(state)
+    journal.close()
+    server = IngestServer(state_dir=str(tmp_path))
+    try:
+        stats = server._answer({"cmd": "stats"})
+        assert stats["snapshot_fallbacks"] == 1
+        assert stats["checkpoint_failures"] == 0
+        restored = server.sessions[1]
+        assert restored.bytes_received == len(raw)
+        assert_maps_identical(restored.finish(), offline)
+    finally:
+        asyncio.run(server.close())
+
+
+def test_checkpoint_failures_are_counted_not_swallowed(tmp_path, blink,
+                                                       offline,
+                                                       monkeypatch):
+    """With every checkpoint write failing, a completed stream still
+    gets its map (the journal covers the bytes) and a graceful shutdown
+    still parks a suspended one — and ``stats`` reports each failed
+    write instead of dropping it silently."""
+    monkeypatch.setenv("REPRO_FAULT", "raise@serve-checkpoint")
+    state_dir = str(tmp_path / "state")
+    sock_path = str(tmp_path / "ingest.sock")
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    raw = bytes(blink.logger.raw_bytes())
+
+    async def scenario():
+        server = IngestServer(state_dir=state_dir,
+                              checkpoint_bytes=len(raw) * 4)
+        await server.start_unix(sock_path)
+        serve_task = asyncio.ensure_future(server.serve_forever())
+        try:
+            reply = await stream_raw(sock_path, hello, raw, retries=0)
+            after_finalize = server._answer({"cmd": "stats"})
+            # A second node, cut mid-frame by the shutdown: suspend's
+            # checkpoint fails, and so does shutdown's parting one.
+            second = dict(hello, node_id=2)
+            reader, writer, _ = await _ack_hello_prefix(
+                sock_path, second, raw[:1207])
+            await asyncio.sleep(0.1)
+            server.request_shutdown()
+            await serve_task
+            await _final_reply(reader)
+            writer.close()
+            return reply, after_finalize, server._answer({"cmd": "stats"})
+        finally:
+            await server.close()
+
+    reply, after_finalize, stats = asyncio.run(scenario())
+    assert reply["ok"]
+    assert_maps_identical(final_map(reply), offline)
+    assert after_finalize["checkpoint_failures"] == 1
+    assert stats["checkpoint_failures"] == 3
+    assert stats["snapshot_fallbacks"] == 0
+
+
 def test_restore_from_journal_without_checkpoint(tmp_path, blink, offline):
     """No checkpoint at all: restore replays the whole journal."""
     hello = hello_for_node(blink, stride_ns=int(seconds(1)))

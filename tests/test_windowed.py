@@ -7,7 +7,9 @@ both analysis backends, for any stride.  Each snapshot carries the
 accumulator's exact cumulative sums (the same IEEE-754 add sequence the
 batch path performs), so :func:`fold_windows` is reconstruction, not
 re-summation.  Also pinned: bounded memory via the retention deque,
-gap-free window indices, the sliding view, and misuse errors.
+gap-free window indices, the sliding view, and misuse errors.  The
+chunk-split equivalence with the per-entry reference lives in
+``test_windowed_chunks.py``.
 """
 
 import pytest
@@ -18,11 +20,16 @@ from repro.core.accounting import (
     build_energy_map,
     fold_windows,
 )
-from repro.core.logger import iter_entries
+from repro.core.logger import LogColumns, WireDecoder, decode_columns
 from repro.errors import WindowingError
 from repro.experiments.common import run_blink
 from repro.tos.node import COMPONENT_NAMES, RES_TIMERB
 from repro.units import ms, seconds
+
+
+def rows_slice(rows, lo, hi):
+    return LogColumns(*(getattr(rows, name)[lo:hi] for name in (
+        "type", "res_id", "time_ns", "icount", "value")))
 
 
 def windowed_for(node, timeline, regression, stride_ns, **kwargs):
@@ -38,6 +45,16 @@ def windowed_for(node, timeline, regression, stride_ns, **kwargs):
     )
 
 
+def feed_log(accumulator, raw, chunk_bytes=None):
+    """Stream a packed log through a wire decoder into ``accumulator``
+    (whole, or in ``chunk_bytes`` pieces), then finish it."""
+    decoder = WireDecoder()
+    step = chunk_bytes or max(len(raw), 1)
+    for start in range(0, len(raw), step):
+        accumulator.feed(decoder.feed(raw[start:start + step]))
+    return accumulator.finish()
+
+
 def assert_folds_to_batch(node, stride_ns, backend):
     timeline = node.timeline()
     regression = node.regression(timeline)
@@ -50,7 +67,7 @@ def assert_folds_to_batch(node, stride_ns, backend):
     )
     accumulator = windowed_for(node, timeline, regression, stride_ns,
                                retain=None)
-    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
+    feed_log(accumulator, node.logger.raw_bytes(), chunk_bytes=1021)
     folded = fold_windows(list(accumulator.windows))
     assert list(folded.energy_j) == list(batch.energy_j)  # insertion order
     assert folded.energy_j == batch.energy_j  # float bits
@@ -98,7 +115,7 @@ def test_windows_are_gap_free_and_deltas_cover_the_run():
     regression = node.regression(timeline)
     accumulator = windowed_for(node, timeline, regression,
                                int(seconds(1)), retain=None)
-    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
+    feed_log(accumulator, node.logger.raw_bytes())
     snapshots = list(accumulator.windows)
     assert [s.index for s in snapshots] == list(range(len(snapshots)))
     assert snapshots[-1].final and not any(s.final for s in snapshots[:-1])
@@ -119,7 +136,7 @@ def test_retention_bounds_snapshot_memory():
     regression = node.regression(timeline)
     accumulator = windowed_for(node, timeline, regression, int(ms(100)),
                                retain=4)
-    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
+    feed_log(accumulator, node.logger.raw_bytes(), chunk_bytes=100)
     assert len(accumulator.windows) == 4  # deque bound
     assert accumulator.windows_emitted > 4  # ...but all were emitted
     # The last retained window still carries the exact final state.
@@ -134,7 +151,7 @@ def test_on_window_callback_sees_every_close():
     seen = []
     accumulator = windowed_for(node, timeline, regression,
                                int(seconds(1)), on_window=seen.append)
-    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
+    feed_log(accumulator, node.logger.raw_bytes(), chunk_bytes=37)
     assert len(seen) == accumulator.windows_emitted
     assert seen[-1].final
 
@@ -144,13 +161,12 @@ def test_live_breakdown_tracks_the_stream():
     timeline = node.timeline()
     regression = node.regression(timeline)
     accumulator = windowed_for(node, timeline, regression, int(seconds(1)))
-    entries = list(iter_entries(node.logger.raw_bytes()))
-    for entry in entries[: len(entries) // 2]:
-        accumulator.feed(entry)
+    rows = decode_columns(node.logger.raw_bytes())
+    half = len(rows) // 2
+    accumulator.feed(rows_slice(rows, 0, half))
     mid = accumulator.live_breakdown()
     assert 0 < mid["reconstructed_energy_j"]
-    for entry in entries[len(entries) // 2:]:
-        accumulator.feed(entry)
+    accumulator.feed(rows_slice(rows, half, len(rows)))
     accumulator.finish()
     done = accumulator.live_breakdown()
     assert done["reconstructed_energy_j"] \
@@ -164,7 +180,7 @@ def test_sliding_view_merges_recent_strides():
     regression = node.regression(timeline)
     accumulator = windowed_for(node, timeline, regression,
                                int(seconds(1)), retain=None)
-    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
+    feed_log(accumulator, node.logger.raw_bytes())
     view = accumulator.sliding(int(seconds(3)))
     assert view["windows"] == 3
     recent = list(accumulator.windows)[-3:]
@@ -199,8 +215,21 @@ def test_sliding_misuse_rejected():
     regression = node.regression(timeline)
     accumulator = windowed_for(node, timeline, regression,
                                int(seconds(1)), retain=2)
-    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
+    feed_log(accumulator, node.logger.raw_bytes())
     with pytest.raises(WindowingError, match="multiple"):
         accumulator.sliding(int(seconds(1)) + 1)
     with pytest.raises(WindowingError, match="retention"):
         accumulator.sliding(int(seconds(5)))
+
+
+def test_feed_after_finish_rejected():
+    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(2))
+    timeline = node.timeline()
+    regression = node.regression(timeline)
+    accumulator = windowed_for(node, timeline, regression, int(seconds(1)))
+    rows = decode_columns(node.logger.raw_bytes())
+    accumulator.feed(rows)
+    done = accumulator.finish()
+    assert accumulator.finish() is done  # idempotent
+    with pytest.raises(WindowingError, match="finished"):
+        accumulator.feed(rows)

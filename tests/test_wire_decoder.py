@@ -3,10 +3,10 @@
 :class:`repro.core.logger.WireDecoder` is the network-facing decode
 path — the ingest server feeds it whatever chunks TCP delivers.  The
 contract fuzzed here: for ANY split of a packed log (mid-entry, one
-byte at a time, mid-u32-wrap), the reassembled entry stream is
-*identical* to the one-shot :func:`iter_entries` decode — same unwrap,
-same seq numbers — and the columns built from it match the vectorized
-:func:`decode_columns` output.
+byte at a time, mid-u32-wrap), the reassembled rows are *identical* to
+the one-shot :func:`decode_columns` output — same unwrap, same order —
+and the entries built from them equal the :func:`iter_entries` decode,
+seq numbers included.
 """
 
 import random
@@ -40,23 +40,29 @@ def random_chunks(raw, rng, max_chunk):
 
 
 def feed_chunked(raw, chunks):
+    """Feed ``chunks`` to a fresh decoder; the reassembled rows, checked
+    against the one-shot column decode, as entries."""
     decoder = WireDecoder()
-    entries = []
-    for chunk in chunks:
-        entries.extend(decoder.feed(chunk))
+    parts = [decoder.feed(chunk) for chunk in chunks]
     decoder.finish()
     assert decoder.pending_bytes == 0
-    assert decoder.entries_decoded == len(entries)
-    return entries
+    return entries_of(raw, parts, decoder)
 
 
-def assert_columns_equal(entries, raw):
-    """The reassembled stream feeds the columnar path identically."""
-    rebuilt = LogColumns.from_entries(entries)
+def entries_of(raw, parts, decoder):
+    columns = LogColumns.concat(parts) if parts else decode_columns(b"")
+    assert decoder.entries_decoded == len(columns)
+    assert_columns_equal(columns, raw)
+    return list(columns.entries())
+
+
+def assert_columns_equal(rebuilt, raw):
+    """The reassembled stream matches the one-shot columnar decode."""
     oneshot = decode_columns(raw)
     for field in ("type", "res_id", "time_ns", "icount", "value"):
-        assert np.array_equal(getattr(rebuilt, field),
-                              getattr(oneshot, field)), field
+        column = getattr(rebuilt, field)
+        assert column.dtype == getattr(oneshot, field).dtype, field
+        assert np.array_equal(column, getattr(oneshot, field)), field
 
 
 # -- golden experiment logs --------------------------------------------------
@@ -75,7 +81,6 @@ def test_chunked_equals_oneshot_on_blink(blink_raw):
         entries = feed_chunked(blink_raw,
                                random_chunks(blink_raw, rng, 37))
         assert entries == reference
-    assert_columns_equal(reference, blink_raw)
 
 
 def test_one_byte_at_a_time(blink_raw):
@@ -113,7 +118,6 @@ def test_network_log_random_splits():
                 raw, (raw[i:i + chunk_size]
                       for i in range(0, len(raw), chunk_size)))
             assert entries == reference
-        assert_columns_equal(reference, raw)
 
 
 # -- u32 wrap state across feeds ---------------------------------------------
@@ -146,8 +150,8 @@ def test_wrap_state_carries_across_feeds():
     first = decoder.feed(raw[:cut])
     assert len(first) == 2 and decoder.pending_bytes == 5
     rest = decoder.feed(raw[cut:])
-    entries = first + rest
     decoder.finish()
+    entries = entries_of(raw, [first, rest], decoder)
     assert [(e.time_us, e.icount) for e in entries] == truth
 
 
@@ -172,7 +176,7 @@ def snapshot_round_trip_at(raw, cut):
     """Feed ``raw[:cut]``, snapshot, restore into a NEW decoder, feed
     the rest — the crash/restart shape of the ingest server."""
     first = WireDecoder()
-    entries = first.feed(raw[:cut])
+    parts = [first.feed(raw[:cut])]
     state = first.snapshot()
     # The snapshot must survive serialization (checkpoints store it).
     import json
@@ -180,9 +184,9 @@ def snapshot_round_trip_at(raw, cut):
     second = WireDecoder.from_snapshot(json.loads(json.dumps(state)))
     assert second.entries_decoded == first.entries_decoded
     assert second.pending_bytes == first.pending_bytes
-    entries += second.feed(raw[cut:])
+    parts.append(second.feed(raw[cut:]))
     second.finish()
-    return entries
+    return entries_of(raw, parts, second)
 
 
 def test_snapshot_restore_at_every_split_across_wraps():
@@ -221,14 +225,13 @@ def test_snapshot_restore_fuzz_on_random_wrap_logs():
         for _restore in range(8):
             cut = rng.randint(0, len(raw))
             first = WireDecoder()
-            entries = []
-            for chunk in random_chunks(raw[:cut], rng, 17):
-                entries.extend(first.feed(chunk))
+            parts = [first.feed(chunk)
+                     for chunk in random_chunks(raw[:cut], rng, 17)]
             second = WireDecoder.from_snapshot(first.snapshot())
-            for chunk in random_chunks(raw[cut:], rng, 17):
-                entries.extend(second.feed(chunk))
+            parts.extend(second.feed(chunk)
+                         for chunk in random_chunks(raw[cut:], rng, 17))
             second.finish()
-            assert entries == reference
+            assert entries_of(raw, parts, second) == reference
 
 
 def test_snapshot_restore_on_blink(blink_raw):
@@ -268,7 +271,22 @@ def test_finish_is_clean_on_entry_boundary(blink_raw):
 
 def test_empty_feeds_are_noops():
     decoder = WireDecoder()
-    assert decoder.feed(b"") == []
-    assert decoder.feed(b"\x01") == []  # sub-entry: buffered only
+    assert len(decoder.feed(b"")) == 0
+    assert len(decoder.feed(b"\x01")) == 0  # sub-entry: buffered only
     assert decoder.pending_bytes == 1
     assert decoder.entries_decoded == 0
+
+
+def test_feed_returns_the_streams_next_rows(blink_raw):
+    """Each feed's columns are exactly the stream's rows from
+    ``entries_decoded`` on, with the wire dtypes of the one-shot decode."""
+    oneshot = decode_columns(blink_raw)
+    decoder = WireDecoder()
+    for start in range(0, len(blink_raw), 500):
+        row = decoder.entries_decoded
+        columns = decoder.feed(blink_raw[start:start + 500])
+        assert np.array_equal(columns.time_ns,
+                              oneshot.time_ns[row:row + len(columns)])
+        assert np.array_equal(columns.value,
+                              oneshot.value[row:row + len(columns)])
+    assert decoder.entries_decoded == len(oneshot)
