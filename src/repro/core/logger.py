@@ -35,20 +35,22 @@ buffer holds 800 entries by default.  Two modes:
 
 Hot-path note: the synchronous :meth:`QuantoLogger.record` path stores
 raw ``(type, res_id, time, ic, value)`` tuples in a capacity-bounded
-ring and defers the ``struct`` packing to dump time, where
-:meth:`QuantoLogger.raw_bytes` packs the whole log in one bulk
-``pack_into`` sweep over a preallocated buffer (memoized until the next
-record).  Field masking still happens at record time, so the wire
-format, the 32-bit wrap-around behaviour, the RAM budget (capacity is
-counted in 12-byte entries, exactly as before), and the Table 4 cycle
-charges are all bit-identical to eager packing — only *when* the bytes
-are produced changes.
+ring and defers the ``struct`` packing to dump time.  One bulk packer,
+:func:`_pack` (C-level ``struct`` packs joined a slice at a time into
+one buffer), serves both consumers: :meth:`QuantoLogger.raw_bytes`
+(memoized until the next record) and the fused decode's structured
+array, an ``np.frombuffer`` over the packed bytes.  Field masking still
+happens at record time, so the wire format, the 32-bit wrap-around
+behaviour, the RAM budget (capacity is counted in 12-byte entries,
+exactly as before), and the Table 4 cycle charges are all bit-identical
+to eager packing — only *when* the bytes are produced changes.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import chain, islice, starmap
 from math import floor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -421,23 +423,16 @@ class QuantoLogger:
         """Everything recorded: shipped entries plus the residual buffer,
         packed to the 12-byte wire format.
 
-        Packing happens here, in one bulk ``pack_into`` sweep over a
-        preallocated buffer, instead of per record on the synchronous
-        path.  The shipped+resident entry sequence is append-only (a
-        drain moves entries between the two stores without reordering),
-        so the packed bytes are memoized by total entry count and reused
-        by every analysis pass over the same log.
+        Packing happens here, in one bulk :func:`_pack` over both
+        stores, instead of per record on the synchronous path.  The
+        shipped+resident entry sequence is append-only (a drain moves
+        entries between the two stores without reordering), so the
+        packed bytes are memoized by total entry count and reused by
+        every analysis pass over the same log.
         """
         total = len(self._dumped) + len(self._buffer)
         if self._packed_count != total:
-            packed = bytearray(total * ENTRY_SIZE)
-            pack_into = ENTRY_STRUCT.pack_into
-            offset = 0
-            for store in (self._dumped, self._buffer):
-                for entry in store:
-                    pack_into(packed, offset, *entry)
-                    offset += ENTRY_SIZE
-            self._packed_cache = bytes(packed)
+            self._packed_cache = bytes(_pack((self._dumped, self._buffer)))
             self._packed_count = total
         return self._packed_cache
 
@@ -737,23 +732,33 @@ def decode_batch_records(
     return worlds
 
 
+#: Entries :func:`_pack` joins at a time: bounds its transient objects.
+_PACK_SLICE = 1024
+
+
+def _pack(stores: Sequence[Sequence[tuple]]) -> bytearray:
+    """Raw entry tuples, store after store, in the 12-byte wire format:
+    C-level ``struct`` packs joined a slice at a time into one buffer."""
+    packed = bytearray(sum(map(len, stores)) * ENTRY_SIZE)
+    entries = chain.from_iterable(stores)
+    pack = ENTRY_STRUCT.pack
+    step = _PACK_SLICE * ENTRY_SIZE
+    for offset in range(0, len(packed), step):
+        packed[offset:offset + step] = b"".join(
+            starmap(pack, islice(entries, _PACK_SLICE)))
+    return packed
+
+
 def _ring_records(
     loggers: Sequence["QuantoLogger"],
 ) -> tuple[np.ndarray, list[int]]:
     """One structured array over K loggers' concatenated shipped+resident
-    raw tuples (no ``raw_bytes`` materialization), plus each logger's
-    entry count — the input of :func:`decode_batch_records`."""
-    stores = [(lg._dumped, lg._buffer) for lg in loggers]
-    counts = [len(d) + len(b) for d, b in stores]
-    records = np.empty(sum(counts), dtype=ENTRY_DTYPE)
-    offset = 0
-    for (dumped, buffer), count in zip(stores, counts):
-        if count:
-            # Fields were masked at record time, so the tuples fit the
-            # wire widths exactly; numpy casts them in bulk.
-            records[offset:offset + count] = dumped + buffer
-        offset += count
-    return records, counts
+    raw tuples (no ``raw_bytes`` memoized), plus each logger's entry
+    count — the input of :func:`decode_batch_records`."""
+    counts = [len(lg._dumped) + len(lg._buffer) for lg in loggers]
+    packed = _pack([store for lg in loggers
+                    for store in (lg._dumped, lg._buffer)])
+    return np.frombuffer(packed, dtype=ENTRY_DTYPE), counts
 
 
 def decode_batch(loggers: Sequence["QuantoLogger"]) -> list[LogColumns]:

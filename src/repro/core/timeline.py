@@ -609,6 +609,50 @@ def _first_rows(res_ids: np.ndarray, pos: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(rids.tolist(), first[rids].tolist()))
 
 
+def _bind_targets(opens: np.ndarray, rids: np.ndarray, values: np.ndarray,
+                  is_bind: np.ndarray) -> Optional[np.ndarray]:
+    """Each segment's bind target label (``-1``: unbound), or ``None``
+    when no row binds: the :class:`_SingleTracker` semantics on columns.
+
+    Rows are every device's change/bind rows, grouped by device (in
+    ``rids``), in log order within a device; segment ``j`` carries the
+    label of its opening row ``opens[j]``.  A bind rebinds everything
+    filed under the previous row's label (a device's first row binds
+    nothing) and refiles it under its own, so a segment is resolved by
+    the first bind after its opening row replacing its label, and a
+    bind's successor is the first later bind replacing *its* label.
+    One ``searchsorted`` over binds keyed by (device, replaced label,
+    row) finds both; pointer doubling follows each chain to its end.
+    """
+    stride = len(rids) + 1
+    code = (rids << 16) | values  # (device, label) of every row
+    binds = np.flatnonzero(is_bind[1:] & (rids[1:] == rids[:-1])) + 1
+    if not len(binds):
+        return None
+    keys = code[binds - 1] * stride + binds
+    order = np.argsort(keys)
+    keys, binds = keys[order], binds[order]
+    none = len(binds)
+
+    def first_bind(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Index into ``binds`` of the first bind at or after ``rows``
+        replacing (device, label) ``codes``; ``none`` if there is none."""
+        at = np.searchsorted(keys, codes * stride + rows)
+        hit = at < none
+        hit[hit] = keys[at[hit]] // stride == codes[hit]
+        return np.where(hit, at, none)
+
+    # last[b]: the last bind on b's chain (a chain's end, and ``none``,
+    # point at themselves), by doubling the successor pointers.
+    successor = first_bind(code[binds], binds + 1)
+    last = np.append(
+        np.where(successor < none, successor, np.arange(none)), none)
+    while not np.array_equal(last[last], last):
+        last = last[last]
+    final_label = np.append(values[binds], -1)
+    return final_label[last[first_bind(code[opens], opens + 1)]]
+
+
 class ColumnarTimeline:
     """The whole reconstruction as column arrays: power intervals and
     activity segments rebuilt from :class:`~repro.core.logger.LogColumns`
@@ -624,7 +668,8 @@ class ColumnarTimeline:
     * single-device segments span consecutive change/bind records, with
       zero-length spans dropped and the trailing span closed at
       ``end_time_ns``; bind events resolve every unresolved segment of
-      the label they rebind, transitively, like :class:`_SingleTracker`;
+      the label they rebind, transitively, like :class:`_SingleTracker`
+      (by array arithmetic over all devices, :func:`_bind_targets`);
     * multi-device spans carry interned ``frozenset`` label sets — the
       *same* interned objects per distinct set, so downstream iteration
       order matches the streaming path's.
@@ -839,33 +884,25 @@ class ColumnarTimeline:
     def _build_singles(self, single_pos: np.ndarray,
                        first_multi: dict[int, int]) -> None:
         """Change/bind rows → every single-activity device's segment
-        columns at once.  Without binds to resolve, a device's segments
-        are simply the spans between its consecutive changes (plus the
-        trailing span to the window end, or left open), zero-length
-        spans dropped — vectorized over all devices; a device with binds
-        on a closed timeline takes :meth:`_build_single_binds`."""
+        columns at once, vectorized over all devices: a device's
+        segments are the spans between its consecutive change/bind rows
+        (plus the trailing span to the window end, or left open),
+        zero-length spans dropped; on a closed timeline
+        :func:`_bind_targets` resolves their binds."""
         columns = self.columns
         n = len(columns)
         res = columns.res_id
         # The streaming feed drops a change/bind the moment its res_id
         # is known to be multi, so rows at or past the device's first
         # add/remove (or all rows, when it was declared multi up front:
-        # bound -1) never reach the single tracker.
-        bound = np.full(256, n, dtype=np.int64)
+        # limit -1) never reach the single tracker.
+        limit = np.full(256, n, dtype=np.int64)
         for rid, first in first_multi.items():
-            bound[rid] = first
-        pos = single_pos[single_pos < bound[res[single_pos]]]
+            limit[rid] = first
+        pos = single_pos[single_pos < limit[res[single_pos]]]
         pos = pos[np.argsort(res[pos], kind="stable")]  # by device
         rids = res[pos].astype(np.int64)
         self._singles: dict[int, _SingleColumns] = {}
-        binds = (sorted(set(rids[columns.type[pos] == TYPE_ACT_BIND].tolist()))
-                 if self.close else [])
-        for rid in binds:
-            self._singles[rid] = self._build_single_binds(pos[rids == rid])
-        if binds:
-            plain = ~np.isin(rids, binds)
-            pos = pos[plain]
-            rids = rids[plain]
         times = columns.time_ns[pos]
         values = columns.value[pos]
         last = np.ones(len(pos), dtype=bool)  # each device's last row
@@ -884,76 +921,31 @@ class ColumnarTimeline:
                 rids[last].tolist(),
                 zip(times[last].tolist(), values[last].tolist())))
         kept = np.flatnonzero(keep)
+        targets = (_bind_targets(kept, rids, values,
+                                 columns.type[pos] == TYPE_ACT_BIND)
+                   if self.close else None)
         kept_rids = rids[kept]
         t0 = times[kept]
         t1 = t1[kept]
         closing = closing[kept]
         values = values[kept]
-        # Every device's columns below are views of these flat ones.
-        self._single_flat = (None if binds
+        # Every device's columns below are views of these flat ones; with
+        # binds single_segments() gathers instead, so caches hold less.
+        self._single_flat = (None if targets is not None
                              else (kept_rids, t0, t1, values, closing))
         labels = values.tolist()
-        device_ids = [rid for rid in sorted(self._single_ids)
-                      if rid not in self._singles]
+        # One int object per distinct target: cached timelines hold these.
+        shared: dict[int, int] = {}
+        bound = ([None] * len(labels) if targets is None
+                 else [shared.setdefault(target, target) if target >= 0
+                       else None for target in targets.tolist()])
+        device_ids = sorted(self._single_ids)
         lo = np.searchsorted(kept_rids, device_ids, side="left").tolist()
         hi = np.searchsorted(kept_rids, device_ids, side="right").tolist()
         for rid, a, b in zip(device_ids, lo, hi):
             self._singles[rid] = _SingleColumns(
                 t0=t0[a:b], t1=t1[a:b], labels=labels[a:b],
-                bound=[None] * (b - a), rows=closing[a:b])
-
-    def _build_single_binds(self, pos: np.ndarray) -> _SingleColumns:
-        """One device's change/bind rows → segment columns, with the
-        :class:`_SingleTracker` bind semantics (pop every unresolved
-        segment of the rebound label; chain transitively)."""
-        columns = self.columns
-        n = len(columns)
-        bind_rows = columns.type[pos] == TYPE_ACT_BIND
-        times = columns.time_ns[pos].tolist()
-        labels = columns.value[pos].tolist()
-        binds = bind_rows.tolist()
-        closing = pos.tolist()
-        t0s: list[int] = []
-        t1s: list[int] = []
-        seg_labels: list[int] = []
-        bound: list[Optional[int]] = []
-        seg_rows: list[int] = []
-        unresolved: dict[int, list[int]] = {}
-        open_label: Optional[int] = None
-        open_t0 = 0
-        for k in range(len(times)):
-            t = times[k]
-            new_label = labels[k]
-            previous_label = open_label
-            if open_label is not None and t > open_t0:
-                index = len(seg_labels)
-                t0s.append(open_t0)
-                t1s.append(t)
-                seg_labels.append(open_label)
-                bound.append(None)
-                seg_rows.append(closing[k])
-                unresolved.setdefault(open_label, []).append(index)
-            if binds[k] and previous_label is not None:
-                pending = unresolved.pop(previous_label, [])
-                if pending:
-                    for index in pending:
-                        bound[index] = new_label
-                    unresolved.setdefault(new_label, []).extend(pending)
-            open_label = new_label
-            open_t0 = t
-        if open_label is not None and self.end_time_ns > open_t0:
-            t0s.append(open_t0)
-            t1s.append(self.end_time_ns)
-            seg_labels.append(open_label)
-            bound.append(None)
-            seg_rows.append(n)
-        return _SingleColumns(
-            t0=np.array(t0s, dtype=np.int64),
-            t1=np.array(t1s, dtype=np.int64),
-            labels=seg_labels,
-            bound=bound,
-            rows=np.array(seg_rows, dtype=np.int64),
-        )
+                bound=bound[a:b], rows=closing[a:b])
 
     def _intern_set(self, values: set[int]) -> int:
         key = tuple(sorted(values))
@@ -1081,8 +1073,6 @@ class ColumnarTimeline:
         device after device: ``(res_ids, t0, t1, labels, rows)``."""
         if self._single_flat is not None:
             return self._single_flat
-        # Bind-resolved devices were built apart: gather (not kept, so
-        # a cached timeline holds its segments once).
         parts = [(rid, self._singles[rid]) for rid in sorted(self._singles)]
         return (
             np.concatenate([np.full(len(cols), rid, dtype=np.int64)

@@ -13,11 +13,13 @@ implementation (Table 5 lists it at 8 changed lines):
 This module also owns the wire codec.  Frames are serialized to real
 bytes — an 11-byte 802.15.4/AM header, the hidden 2-byte activity field,
 the payload, and a 2-byte CRC — so field widths and byte counts (which
-drive SPI transfer timing) are honest.
+drive SPI transfer timing) are honest; :func:`frame_size` counts them
+without encoding.  :func:`decode_frame` checks every frame's CRC.
 """
 
 from __future__ import annotations
 
+import binascii
 import struct
 from typing import Callable, Optional
 
@@ -57,6 +59,11 @@ def encode_frame(frame: Frame) -> bytes:
     return body + _CRC.pack(crc)
 
 
+def frame_size(frame: Frame) -> int:
+    """How many bytes :func:`encode_frame` makes of ``frame``."""
+    return _HEADER.size + _ACTIVITY.size + len(frame.payload) + _CRC.size
+
+
 def decode_frame(raw: bytes) -> Frame:
     """Parse on-air bytes back into a frame, verifying the CRC."""
     if len(raw) < _HEADER.size + _ACTIVITY.size + _CRC.size:
@@ -78,17 +85,16 @@ def decode_frame(raw: bytes) -> Frame:
                  activity=activity, seqno=dsn)
 
 
+#: Bit-reversal of every byte value.
+_REV8 = bytes(int(f"{value:08b}"[::-1], 2) for value in range(256))
+
+
 def _crc16(data: bytes) -> int:
-    """CRC-16/CCITT as used by 802.15.4 FCS."""
-    crc = 0
-    for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ 0x8408
-            else:
-                crc >>= 1
-    return crc & 0xFFFF
+    """CRC-16/CCITT as used by 802.15.4 FCS (reflected, zero init:
+    CRC-16/KERMIT) — at C speed, as the bit-reversed XMODEM CRC
+    (``binascii.crc_hqx``) of the bit-reversed bytes."""
+    crc = binascii.crc_hqx(bytes(data).translate(_REV8), 0)
+    return (_REV8[crc & 0xFF] << 8) | _REV8[crc >> 8]
 
 
 class ActiveMessageLayer:

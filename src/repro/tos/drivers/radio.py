@@ -28,7 +28,7 @@ from repro.core.powerstate import PowerStateVar
 from repro.hw.mcu import Mcu
 from repro.hw.radio import Frame, Radio
 from repro.hw.spi import SpiBus
-from repro.tos.am import encode_frame
+from repro.tos.am import decode_frame, encode_frame, frame_size
 from repro.tos.interrupts import InterruptController
 from repro.tos.scheduler import Scheduler
 from repro.tos.vtimer import VirtualTimerSystem
@@ -212,7 +212,7 @@ class RadioDriver:
         # Figure 8: paint the radio with the CPU's current activity before
         # loading the TXFIFO.
         self.radio_activity.set(self._tx_activity)
-        nbytes = len(encode_frame(frame)) + 1  # +1 for the length byte
+        nbytes = frame_size(frame) + 1  # +1 for the length byte
         if self.spi_mode == "dma":
             self.mcu.consume(DMA_SETUP_CYCLES)
             self.spi.dma_transfer(nbytes, self._tx_dma_irq)
@@ -304,7 +304,7 @@ class RadioDriver:
         if not self.radio.rx_fifo:
             return
         self._rx_frame = self.radio.read_rx_fifo()
-        self._rx_remaining = len(encode_frame(self._rx_frame)) + 1
+        self._rx_remaining = frame_size(self._rx_frame) + 1
         self.spi.shift_pair(self._rx_remaining, self._rx_uart_irq)
 
     def _retry_rx(self) -> None:
@@ -334,9 +334,6 @@ class RadioDriver:
             return
         # Wire-format round trip: what the stack hands up is what the
         # bytes say, hidden field included.
-        decoded = frame
-        raw = encode_frame(frame)
-        from repro.tos.am import decode_frame  # local import: layer above
-        decoded = decode_frame(raw)
+        decoded = decode_frame(encode_frame(frame))
         if self._receive_fn is not None:
             self._receive_fn(decoded)

@@ -6,7 +6,27 @@ from hypothesis import given, settings, strategies as st
 from repro.core.labels import ActivityLabel
 from repro.errors import NetworkError
 from repro.hw.radio import Frame
-from repro.tos.am import AM_BROADCAST, decode_frame, encode_frame
+from repro.tos.am import (
+    AM_BROADCAST,
+    _crc16,
+    decode_frame,
+    encode_frame,
+    frame_size,
+)
+
+
+def crc16_bitwise(data) -> int:
+    """The bit-by-bit reflected CRC-16 (polynomial 0x8408, zero init:
+    CRC-16/KERMIT) — the oracle for the C-speed ``_crc16``."""
+    crc = 0
+    for byte in bytes(data):
+        crc ^= byte
+        for _ in range(8):
+            if crc & 1:
+                crc = (crc >> 1) ^ 0x8408
+            else:
+                crc >>= 1
+    return crc & 0xFFFF
 
 
 def test_codec_roundtrip_simple():
@@ -44,6 +64,41 @@ def test_codec_roundtrip_property(src, dst, am_type, payload, activity,
     assert (decoded.src, decoded.dst, decoded.am_type, decoded.payload,
             decoded.activity, decoded.seqno) == (
         src, dst, am_type, payload, activity, seqno)
+
+
+def test_crc16_known_answer():
+    # The CRC-16/KERMIT check value.
+    assert crc16_bitwise(b"123456789") == 0x2189
+    assert _crc16(b"123456789") == 0x2189
+    assert _crc16(b"") == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=300),
+       kind=st.sampled_from((bytes, bytearray, memoryview)))
+def test_crc16_matches_bitwise_oracle(data, kind):
+    assert _crc16(kind(data)) == crc16_bitwise(data)
+
+
+def test_frame_size_matches_encoded_length():
+    # Past 255 payload bytes the header's length byte masks; the size
+    # still counts every byte on the wire.
+    for length in range(301):
+        frame = Frame(src=3, dst=AM_BROADCAST, am_type=7,
+                      payload=bytes(i & 0xFF for i in range(length)),
+                      activity=0x0102, seqno=length & 0xFF)
+        assert frame_size(frame) == len(encode_frame(frame)) == frame.length
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=st.binary(max_size=60), data=st.data())
+def test_crc_detects_any_single_bit_flip(payload, data):
+    raw = bytearray(encode_frame(Frame(src=1, dst=2, am_type=1,
+                                       payload=payload)))
+    bit = data.draw(st.integers(min_value=0, max_value=8 * len(raw) - 1))
+    raw[bit // 8] ^= 1 << (bit % 8)
+    with pytest.raises(NetworkError):
+        decode_frame(bytes(raw))
 
 
 def test_crc_detects_corruption():
